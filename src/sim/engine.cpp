@@ -1,7 +1,7 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -58,8 +58,23 @@ void Engine::compact_queue() {
   queue_compactions_->inc();
 }
 
+void Engine::at_instant_end(Callback cb) { instant_end_.push_back(std::move(cb)); }
+
+void Engine::end_instant() {
+  instant_end_running_.swap(instant_end_);
+  for (Callback& cb : instant_end_running_) cb();
+  instant_end_running_.clear();
+}
+
 bool Engine::step() {
-  while (!queue_.empty()) {
+  for (;;) {
+    if (instant_over()) {
+      end_instant();
+      continue;
+    }
+    // Only tombstones left: nothing to fire, and they are left for the
+    // next pop or compaction, as run() leaves them.
+    if (callbacks_.empty()) return false;
     const QueueEntry top = queue_.top();
     queue_.pop();
     auto it = callbacks_.find(top.seq);
@@ -77,11 +92,14 @@ bool Engine::step() {
     cb();
     return true;
   }
-  return false;
 }
 
 void Engine::run() {
-  while (regular_pending_ > 0 && step()) {
+  for (;;) {
+    // Deferred end-of-instant work may arm regular events, so it must run
+    // before "nothing regular left" can end the run.
+    if (regular_pending_ == 0 && !instant_end_.empty()) end_instant();
+    if (regular_pending_ == 0 || !step()) return;
   }
 }
 
@@ -89,22 +107,26 @@ void Engine::sample_timeseries_every(SimTime period) {
   timeseries_period_ = period;
   if (period <= 0.0 || timeseries_armed_) return;
   timeseries_armed_ = true;
-  // Self-re-arming daemon chain; the std::function recursion trick keeps
-  // the whole sampler local to this call.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, tick] {
-    if (timeseries_period_ <= 0.0) {
-      timeseries_armed_ = false;
-      return;
-    }
-    timeseries_.sample(now_);
-    schedule_in(timeseries_period_, *tick, /*daemon=*/true);
-  };
-  schedule_in(timeseries_period_, *tick, /*daemon=*/true);
+  schedule_in(timeseries_period_, [this] { sample_timeseries_tick(); }, /*daemon=*/true);
+}
+
+void Engine::sample_timeseries_tick() {
+  if (timeseries_period_ <= 0.0) {
+    timeseries_armed_ = false;
+    return;
+  }
+  timeseries_.sample(now_);
+  // Self-re-arming daemon chain.
+  schedule_in(timeseries_period_, [this] { sample_timeseries_tick(); }, /*daemon=*/true);
 }
 
 bool Engine::run_until(SimTime t) {
-  while (!queue_.empty()) {
+  for (;;) {
+    if (instant_over()) {
+      end_instant();
+      continue;
+    }
+    if (queue_.empty()) break;
     // Skip tombstones without advancing time.
     if (!callbacks_.contains(queue_.top().seq)) {
       queue_.pop();

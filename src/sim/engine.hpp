@@ -49,6 +49,16 @@ class Engine {
   /// cancelled before.
   bool cancel(EventId id);
 
+  /// Run `cb` once the current instant is over: after every event due at
+  /// now() has fired, before the clock advances or the queue drains. This
+  /// lets a model batch all mutations of one instant into one update (the
+  /// fluid model solves each touched component once per instant). Hooks
+  /// run in registration order and may schedule events, including at
+  /// now(), which then fire before the clock moves on. A registered hook
+  /// counts as pending work: run() and step() end the instant before they
+  /// stop.
+  void at_instant_end(Callback cb);
+
   /// Current simulated time.
   SimTime now() const { return now_; }
 
@@ -60,10 +70,13 @@ class Engine {
   /// the time of the last event. Returns true if pending events remain.
   bool run_until(SimTime t);
 
-  /// Fire at most one event. Returns false if the queue was empty.
+  /// Fire at most one event, ending the current instant first if the next
+  /// event lies later (see at_instant_end). Returns false if no event was
+  /// left to fire.
   bool step();
 
-  std::size_t pending() const { return callbacks_.size(); }
+  /// Scheduled events plus registered end-of-instant hooks.
+  std::size_t pending() const { return callbacks_.size() + instant_end_.size(); }
   std::uint64_t processed() const { return processed_; }
 
   /// Platform-wide observability, anchored here because every component
@@ -105,6 +118,18 @@ class Engine {
   /// as rates change) would otherwise grow the heap without bound.
   void compact_queue();
 
+  /// One link of the sampler chain armed by sample_timeseries_every.
+  void sample_timeseries_tick();
+
+  /// True when hooks wait and no live event is due at now(): the instant is
+  /// over. (With a live event pending the heap top is a real lower bound.)
+  bool instant_over() const {
+    return !instant_end_.empty() && (callbacks_.empty() || queue_.top().time > now_);
+  }
+  /// Run the hooks registered so far; hooks they register wait for the
+  /// next round, after any events the first round scheduled at now().
+  void end_instant();
+
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
@@ -112,6 +137,8 @@ class Engine {
   std::size_t tombstones_ = 0;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
   std::unordered_map<std::uint64_t, Pending> callbacks_;
+  std::vector<Callback> instant_end_;
+  std::vector<Callback> instant_end_running_;  ///< reused batch buffer
 
   obs::Registry metrics_;
   obs::Tracer tracer_;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace vhadoop::sim {
 
@@ -65,23 +64,24 @@ FluidModel::ResourceId FluidModel::add_resource(std::string name, double capacit
 void FluidModel::set_capacity(ResourceId id, double capacity) {
   if (capacity < 0.0) throw std::invalid_argument("resource capacity < 0");
   Resource& res = resources_.at(id.v);
-  Component comp = collect_component(nullptr, &res);
-  settle_component(comp);
+  // The busy integral settles at the solve, against the allocation that
+  // held until now; the new capacity only matters to that solve.
   res.capacity = capacity;
   rate_recomputes_->inc();
-  update_component(std::move(comp));
-  maybe_verify();
+  mark_dirty(res);
 }
 
 double FluidModel::capacity(ResourceId id) const { return resources_.at(id.v).capacity; }
 
-double FluidModel::allocated(ResourceId id) const {
+double FluidModel::allocated(ResourceId id) {
   // The maintained sum equals a fresh summation over users: apply_rates
   // recomputes it from scratch (same order) whenever any user's rate moves.
+  solve_dirty();
   return resources_.at(id.v).allocated;
 }
 
-double FluidModel::utilization(ResourceId id) const {
+double FluidModel::utilization(ResourceId id) {
+  solve_dirty();
   const Resource& r = resources_.at(id.v);
   if (r.capacity <= 0.0) return 0.0;
   return std::min(1.0, r.allocated / r.capacity);
@@ -90,6 +90,8 @@ double FluidModel::utilization(ResourceId id) const {
 double FluidModel::busy_integral(ResourceId id) const {
   const Resource& r = resources_.at(id.v);
   // Include the lazily unsettled interval since the resource's last touch.
+  // A pending solve changes nothing here: the stored allocation is the one
+  // that held over that whole interval.
   return r.busy_integral + r.allocated * (engine_.now() - r.last_update);
 }
 
@@ -121,14 +123,10 @@ FluidModel::ActivityId FluidModel::start(ActivitySpec spec) {
     node.resources.push_back(&res);
   }
   activities_started_->inc();
-
-  // The new activity may bridge previously separate components; the BFS
-  // from it finds the merged (true) component.
-  Component comp = collect_component(&node, nullptr);
-  settle_component(comp);
   rate_recomputes_->inc();
-  update_component(std::move(comp));
-  maybe_verify();
+  // The new activity may bridge previously separate components; the solve
+  // at the end of the instant collects the merged (true) component.
+  touch(node);
   return ActivityId{id};
 }
 
@@ -146,58 +144,126 @@ bool FluidModel::cancel(ActivityId id) {
   auto it = activities_.find(id.v);
   if (it == activities_.end()) return false;
   Activity& act = it->second;
-  Component comp = collect_component(&act, nullptr);
-  settle_component(comp);
   if (act.finish_event.valid()) engine_.cancel(act.finish_event);
   comp_cache_.erase(id.v);
+  // Every piece the survivors may split into keeps one of these resources,
+  // so seeding the solve with them reaches all of it.
+  for (Resource* r : act.resources) mark_dirty(*r);
   detach(act);
-  comp.acts.erase(std::find(comp.acts.begin(), comp.acts.end(), &act));
   activities_.erase(it);
   rate_recomputes_->inc();
-  update_partition(std::move(comp));
-  maybe_verify();
   return true;
 }
 
 void FluidModel::add_work(ActivityId id, double extra) {
   if (extra < 0.0) throw std::invalid_argument("add_work: extra < 0");
   Activity& act = activities_.at(id.v);
-  Component comp = collect_component(&act, nullptr);
-  settle_component(comp);
+  settle(act);
   act.remaining += extra;
   act.total += extra;
-  rate_recomputes_->inc();
   // The rate is typically unchanged (same sharing problem), but the ETA
-  // moved with the extra work: force this activity's timer to re-arm.
-  update_component(std::move(comp), &act);
-  maybe_verify();
+  // moved with the extra work: the solve must re-project it regardless.
+  act.reproject = true;
+  rate_recomputes_->inc();
+  touch(act);
 }
 
 void FluidModel::set_cap(ActivityId id, double cap) {
   if (cap < 0.0) throw std::invalid_argument("set_cap: cap < 0");
   Activity& act = activities_.at(id.v);
-  Component comp = collect_component(&act, nullptr);
-  settle_component(comp);
   act.cap = cap;
   rate_recomputes_->inc();
-  update_component(std::move(comp));
-  maybe_verify();
+  touch(act);
 }
 
-double FluidModel::rate(ActivityId id) const { return activities_.at(id.v).rate; }
+double FluidModel::rate(ActivityId id) {
+  solve_dirty();
+  return activities_.at(id.v).rate;
+}
 
 double FluidModel::remaining(ActivityId id) const {
+  // Like busy_integral(), exact with a solve pending: the stored rate is the
+  // one that held since the activity's last settle.
   const Activity& act = activities_.at(id.v);
   return std::max(0.0, act.remaining - act.rate * (engine_.now() - act.last_update));
 }
 
+void FluidModel::touch(Activity& act) {
+  if (!act.resources.empty()) {
+    for (Resource* r : act.resources) mark_dirty(*r);
+    return;
+  }
+  // A resource-less activity is a component of its own.
+  if (act.dirty) return;
+  act.dirty = true;
+  dirty_solo_.push_back(act.id);
+  schedule_solve();
+}
+
+void FluidModel::mark_dirty(Resource& res) {
+  if (res.dirty) return;
+  res.dirty = true;
+  dirty_res_.push_back(&res);
+  schedule_solve();
+}
+
+void FluidModel::schedule_solve() {
+  if (solve_scheduled_) return;
+  solve_scheduled_ = true;
+  engine_.at_instant_end([this] {
+    solve_scheduled_ = false;
+    solve_dirty();
+  });
+}
+
+bool FluidModel::touched(const Component& comp) {
+  // Components with resources are reached through them; only a
+  // resource-less activity carries a mark of its own.
+  if (comp.res.empty()) {
+    return std::any_of(comp.acts.begin(), comp.acts.end(),
+                       [](const Activity* a) { return a->dirty; });
+  }
+  return std::any_of(comp.res.begin(), comp.res.end(),
+                     [](const Resource* r) { return r->dirty; });
+}
+
+void FluidModel::solve_dirty() {
+  if (dirty_res_.empty() && dirty_solo_.empty()) return;
+  solve_seeds_.swap(dirty_res_);
+  for (Resource* seed : solve_seeds_) {
+    if (!seed->dirty) continue;  // solved with an earlier seed's component
+    Component comp = collect_component(nullptr, seed);
+    for (Resource* r : comp.res) r->dirty = false;
+    settle_component(comp);
+    if (comp.acts.empty()) {
+      seed->allocated = 0.0;  // lost its last user
+      continue;
+    }
+    update_component(std::move(comp));
+  }
+  solve_seeds_.clear();
+  for (std::uint64_t id : dirty_solo_) {
+    auto it = activities_.find(id);
+    if (it == activities_.end()) continue;  // finished or cancelled meanwhile
+    Activity& act = it->second;
+    act.dirty = false;
+    Component comp;
+    comp.acts.push_back(&act);
+    settle_component(comp);
+    update_component(std::move(comp));
+  }
+  dirty_solo_.clear();
+  maybe_verify();
+}
+
 FluidModel::Component FluidModel::collect_component(Activity* seed_act, Resource* seed_res) {
-  Component comp;
   // Epoch-stamped visit marks instead of hash sets: one counter bump makes
   // every stale stamp invalid, so the BFS allocates nothing in steady state.
   const std::uint64_t epoch = ++visit_epoch_;
   bfs_act_stack_.clear();
   bfs_res_stack_.clear();
+  s_act_keys_.clear();
+  Component comp;
   if (seed_act != nullptr) {
     seed_act->seen = epoch;
     bfs_act_stack_.push_back(seed_act);
@@ -210,7 +276,7 @@ FluidModel::Component FluidModel::collect_component(Activity* seed_act, Resource
     if (!bfs_act_stack_.empty()) {
       Activity* act = bfs_act_stack_.back();
       bfs_act_stack_.pop_back();
-      comp.acts.push_back(act);
+      s_act_keys_.emplace_back(act->id, act);
       for (Resource* r : act->resources) {
         if (r->seen != epoch) {
           r->seen = epoch;
@@ -229,54 +295,29 @@ FluidModel::Component FluidModel::collect_component(Activity* seed_act, Resource
       }
     }
   }
-  // Canonical order: the solver and every per-member loop run ascending by
-  // id, independent of traversal order.
-  std::sort(comp.acts.begin(), comp.acts.end(), by_id);
-  std::sort(comp.res.begin(), comp.res.end(), by_id);
+  // Canonical order: the solver runs over activities ascending by id,
+  // independent of traversal order. The sort runs over (id, activity)
+  // pairs, so comparisons read one contiguous array instead of chasing
+  // pointers into scattered map nodes. Resources stay in discovery order:
+  // no result depends on it (every per-resource sum runs in activity
+  // order, and the water level is an exact minimum).
+  std::sort(s_act_keys_.begin(), s_act_keys_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  comp.acts.reserve(s_act_keys_.size());
+  for (const auto& key : s_act_keys_) comp.acts.push_back(key.second);
   return comp;
 }
 
-std::size_t FluidModel::reach_component(Activity* seed) {
-  const std::uint64_t epoch = ++visit_epoch_;
-  bfs_act_stack_.clear();
-  bfs_res_stack_.clear();
-  seed->seen = epoch;
-  bfs_act_stack_.push_back(seed);
-  std::size_t acts_reached = 0;
-  while (!bfs_act_stack_.empty() || !bfs_res_stack_.empty()) {
-    if (!bfs_act_stack_.empty()) {
-      Activity* act = bfs_act_stack_.back();
-      bfs_act_stack_.pop_back();
-      ++acts_reached;
-      for (Resource* r : act->resources) {
-        if (r->seen != epoch) {
-          r->seen = epoch;
-          bfs_res_stack_.push_back(r);
-        }
-      }
-    } else {
-      Resource* res = bfs_res_stack_.back();
-      bfs_res_stack_.pop_back();
-      for (Activity* a : res->users) {
-        if (a->seen != epoch) {
-          a->seen = epoch;
-          bfs_act_stack_.push_back(a);
-        }
-      }
-    }
-  }
-  return acts_reached;
+void FluidModel::settle(Activity& act) const {
+  const SimTime now = engine_.now();
+  const double elapsed = now - act.last_update;
+  if (elapsed > 0.0) act.remaining = std::max(0.0, act.remaining - act.rate * elapsed);
+  act.last_update = now;
 }
 
 void FluidModel::settle_component(const Component& comp) {
   const SimTime now = engine_.now();
-  for (Activity* act : comp.acts) {
-    const double elapsed = now - act->last_update;
-    if (elapsed > 0.0) {
-      act->remaining = std::max(0.0, act->remaining - act->rate * elapsed);
-    }
-    act->last_update = now;
-  }
+  for (Activity* act : comp.acts) settle(*act);
   for (Resource* r : comp.res) {
     const double elapsed = now - r->last_update;
     if (elapsed > 0.0) r->busy_integral += r->allocated * elapsed;
@@ -334,10 +375,18 @@ void FluidModel::solve_component(const Component& comp, std::vector<double>& rat
       ++s_cnt_[s_ridx_[k]];
     }
   }
+  // Resources that still bound some unfrozen user. A weight sum only ever
+  // falls, so a resource whose sum is spent never re-enters the minimum and
+  // later rounds skip it (most drop out after the first round). Their order
+  // is irrelevant: the minimum is exact and each slack update is local.
+  s_live_res_.clear();
+  for (std::size_t j = 0; j < nr; ++j) {
+    if (s_sumw_[j] > 0.0) s_live_res_.push_back(j);
+  }
   while (!s_unfrozen_.empty()) {
     double theta = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < nr; ++j) {
-      if (s_sumw_[j] > 0.0) theta = std::min(theta, std::max(0.0, s_slack_[j]) / s_sumw_[j]);
+    for (std::size_t j : s_live_res_) {
+      theta = std::min(theta, std::max(0.0, s_slack_[j]) / s_sumw_[j]);
     }
     for (std::size_t i : s_unfrozen_) {
       theta = std::min(theta, (s_cap_[i] - rates[i]) / s_weight_[i]);
@@ -346,9 +395,7 @@ void FluidModel::solve_component(const Component& comp, std::vector<double>& rat
     theta = std::max(theta, 0.0);
 
     for (std::size_t i : s_unfrozen_) rates[i] += s_weight_[i] * theta;
-    for (std::size_t j = 0; j < nr; ++j) {
-      if (s_sumw_[j] > 0.0) s_slack_[j] -= theta * s_sumw_[j];
-    }
+    for (std::size_t j : s_live_res_) s_slack_[j] -= theta * s_sumw_[j];
 
     // Freeze activities at saturated resources or at their cap.
     s_next_.clear();
@@ -381,6 +428,7 @@ void FluidModel::solve_component(const Component& comp, std::vector<double>& rat
       break;
     }
     s_unfrozen_.swap(s_next_);
+    std::erase_if(s_live_res_, [this](std::size_t j) { return !(s_sumw_[j] > 0.0); });
   }
 }
 
@@ -426,16 +474,16 @@ FluidModel::Activity* FluidModel::arm_component_timer(const Component& comp) {
 }
 
 FluidModel::Activity* FluidModel::apply_rates(const Component& comp,
-                                              const std::vector<double>& rates,
-                                              Activity* force_rearm) {
+                                              const std::vector<double>& rates) {
   // Reuses the flat edge index solve_component just built for this very
   // component (s_roff_/s_ridx_ are untouched between solve and apply).
   std::fill(s_sumw_.begin(), s_sumw_.end(), 0.0);
   for (std::size_t i = 0; i < comp.acts.size(); ++i) {
     Activity* act = comp.acts[i];
     // vlint: allow(no-exact-float-compare) audited PR 8: change detection on deterministically recomputed rates; exact compare only skips a redundant re-projection
-    if (rates[i] != act->rate || act == force_rearm) {
+    if (rates[i] != act->rate || act->reproject) {
       act->rate = rates[i];
+      act->reproject = false;
       project_finish(*act);
     }
     // Ascending i == ascending activity id == the order a fresh summation
@@ -448,58 +496,14 @@ FluidModel::Activity* FluidModel::apply_rates(const Component& comp,
   return arm_component_timer(comp);
 }
 
-void FluidModel::update_component(Component comp, Activity* force_rearm) {
+void FluidModel::update_component(Component comp) {
   recomputes_->inc();
   component_size_->observe(static_cast<double>(comp.acts.size()));
   solve_component(comp, s_rates_);
-  Activity* holder = apply_rates(comp, s_rates_, force_rearm);
+  Activity* holder = apply_rates(comp, s_rates_);
   // Hand the sorted member lists to the timer holder: when its finish event
-  // fires, on_finish_event reuses them instead of redoing the BFS + sorts.
+  // fires, on_finish_event reuses them instead of redoing the BFS and sort.
   if (holder != nullptr) comp_cache_[holder->id] = std::move(comp);
-}
-
-void FluidModel::update_partition(Component comp) {
-  // Removals may have split the component; re-partition the survivors and
-  // solve each true sub-component on its own (the canonical form the
-  // reference oracle verifies against).
-  if (comp.acts.empty()) {
-    for (Resource* r : comp.res) r->allocated = 0.0;
-    return;
-  }
-  // Fast path — by far the common case: one BFS proves the survivors are
-  // still a single component, and the member lists (already sorted) are
-  // reused as-is. Only resources the BFS reached stay in the component;
-  // the rest lost their last user and carry no load.
-  if (reach_component(comp.acts.front()) == comp.acts.size()) {
-    const std::uint64_t epoch = visit_epoch_;
-    std::size_t keep = 0;
-    for (Resource* r : comp.res) {
-      if (r->seen == epoch) {
-        comp.res[keep++] = r;
-      } else {
-        r->allocated = 0.0;
-      }
-    }
-    comp.res.resize(keep);
-    update_component(std::move(comp));
-    return;
-  }
-  // Split: re-collect each true sub-component. The sets are only
-  // membership-tested, never iterated, so their unordered layout cannot
-  // leak into the results.
-  std::unordered_set<const Activity*> pending(comp.acts.begin(), comp.acts.end());
-  std::unordered_set<const Resource*> live_res;
-  for (Activity* act : comp.acts) {
-    if (!pending.contains(act)) continue;
-    Component sub = collect_component(act, nullptr);
-    for (const Activity* a : sub.acts) pending.erase(a);
-    for (const Resource* r : sub.res) live_res.insert(r);
-    update_component(std::move(sub));
-  }
-  // Resources left with no path to any surviving activity carry no load.
-  for (Resource* r : comp.res) {
-    if (!live_res.contains(r)) r->allocated = 0.0;
-  }
 }
 
 void FluidModel::on_finish_event(std::uint64_t activity_id) {
@@ -512,15 +516,22 @@ void FluidModel::on_finish_event(std::uint64_t activity_id) {
   self.finish_event = {};
   self.armed_at = kNever;
 
-  // A firing timer means no mutation touched this component since it was
-  // armed (any mutation re-solves and re-arms, replacing the cache entry),
-  // so the cached membership is exact — no BFS, no sort.
+  // The cached membership is exact while the component is clean: any
+  // mutation reaching it since arming would have marked it dirty.
   Component comp;
   if (auto cit = comp_cache_.find(activity_id); cit != comp_cache_.end()) {
     comp = std::move(cit->second);
     comp_cache_.erase(cit);
   } else {
     comp = collect_component(&self, nullptr);
+  }
+  if (touched(comp)) {
+    // A mutation earlier in this instant reached the component after its
+    // timer was armed, so membership and rates may be stale. Solve now: the
+    // fresh solve re-arms the component's timer, at this very instant if
+    // something is due, and that timer completes it.
+    solve_dirty();
+    return;
   }
   settle_component(comp);
 
@@ -546,39 +557,30 @@ void FluidModel::on_finish_event(std::uint64_t activity_id) {
     }
   }
 
-  // Partition the survivors before the done nodes are erased (their
-  // pointers dangle afterwards). `done` is ascending by id: it is either a
-  // subsequence of the sorted comp.acts or the single forced finisher.
-  Component survivors;
-  survivors.res = std::move(comp.res);
-  std::set_difference(comp.acts.begin(), comp.acts.end(), done.begin(), done.end(),
-                      std::back_inserter(survivors.acts), by_id);
-
   std::vector<Callback> callbacks;
   callbacks.reserve(done.size());
   for (Activity* act : done) {  // ascending id: deterministic callbacks
     if (act->finish_event.valid()) engine_.cancel(act->finish_event);
     comp_cache_.erase(act->id);
+    // The survivors re-solve when the instant ends, together with whatever
+    // the callbacks below start on the freed resources.
+    for (Resource* r : act->resources) mark_dirty(*r);
     detach(*act);
     if (act->on_complete) callbacks.push_back(std::move(act->on_complete));
     activities_.erase(act->id);
   }
-
   rate_recomputes_->inc();
-  update_partition(std::move(survivors));
-  maybe_verify();
 
   // Callbacks run last: the model is consistent and reentrant calls
-  // (start/cancel) each re-settle and re-schedule on their own.
+  // (start/cancel) only mark more of it dirty for the same solve.
   for (Callback& cb : callbacks) cb();
 }
 
 void FluidModel::maybe_verify() {
   if (!reference_) return;
   // Sampled oracle: a stale component stays stale until the next mutation
-  // touches it, so checking every Nth mutation still observes the bad state
-  // — just a few mutations later. N=1 (the default) is the exhaustive PR-4
-  // behaviour.
+  // touches it, so checking every Nth round still observes the bad state
+  // — just a few rounds later. N=1 (the default) checks every round.
   if (verify_every_ > 1 &&
       ++verify_tick_ % static_cast<std::uint64_t>(verify_every_) != 0) {
     return;
@@ -592,7 +594,7 @@ void FluidModel::verify_all_components() {
   // independent subproblems, so the joint water level reaches each
   // component's own bottlenecks and the result is mathematically identical
   // to the per-component solves — but the cost is the old cost, O(freeze
-  // rounds × total activities) per mutation, which is exactly what
+  // rounds × total activities) per round, which is exactly what
   // bench/scale_cluster measures the incremental solver against.
   Component all;
   all.acts.reserve(activities_.size());

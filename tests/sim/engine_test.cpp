@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace vhadoop::sim {
@@ -143,6 +144,89 @@ TEST(Engine, ProcessedCountsFiredEventsOnly) {
   e.cancel(id);
   e.run();
   EXPECT_EQ(e.processed(), 1u);
+}
+
+// --- end-of-instant hooks --------------------------------------------------
+
+TEST(Engine, InstantEndHookRunsAfterTheInstantsEventsBeforeTheClockMoves) {
+  Engine e;
+  std::vector<std::string> log;
+  auto note = [&](const std::string& what) {
+    log.push_back(what + "@" + std::to_string(static_cast<int>(e.now())));
+  };
+  e.schedule_at(1.0, [&] {
+    note("a");
+    e.at_instant_end([&] { note("end"); });
+  });
+  e.schedule_at(1.0, [&] { note("b"); });
+  e.schedule_at(2.0, [&] { note("c"); });
+  e.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a@1", "b@1", "end@1", "c@2"}));
+}
+
+TEST(Engine, EventsAHookSchedulesAtNowFireBeforeTheClockMoves) {
+  Engine e;
+  std::vector<std::string> log;
+  e.schedule_at(1.0, [&] {
+    e.at_instant_end([&] {
+      log.push_back("hook1");
+      e.schedule_in(0.0, [&] {
+        log.push_back("now");
+        e.at_instant_end([&] { log.push_back("hook2"); });
+      });
+    });
+  });
+  e.schedule_at(2.0, [&] { log.push_back("later"); });
+  e.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"hook1", "now", "hook2", "later"}));
+  EXPECT_DOUBLE_EQ(e.now(), 2.0);
+}
+
+TEST(Engine, PendingHookCountsAsWorkAndKeepsRunAlive) {
+  Engine e;
+  bool fired = false;
+  e.at_instant_end([&] { e.schedule_in(3.0, [&] { fired = true; }); });
+  EXPECT_EQ(e.pending(), 1u);
+  e.run();
+  EXPECT_TRUE(fired);
+  EXPECT_DOUBLE_EQ(e.now(), 3.0);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(Engine, RunUntilEndsTheInstantBeforeAdvancingTheClock) {
+  Engine e;
+  double hook_at = -1.0;
+  e.schedule_at(1.0, [&] { e.at_instant_end([&] { hook_at = e.now(); }); });
+  EXPECT_FALSE(e.run_until(5.0));
+  EXPECT_DOUBLE_EQ(hook_at, 1.0);
+  EXPECT_DOUBLE_EQ(e.now(), 5.0);
+}
+
+TEST(Engine, StepEndsTheInstantBeforeFiringALaterEvent) {
+  Engine e;
+  std::vector<std::string> log;
+  e.schedule_at(1.0, [&] { log.push_back("a"); });
+  e.schedule_at(2.0, [&] { log.push_back("b"); });
+  EXPECT_TRUE(e.step());
+  e.at_instant_end([&] { log.push_back("end@" + std::to_string(static_cast<int>(e.now()))); });
+  EXPECT_TRUE(e.step());  // ends t=1, then fires b
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "end@1", "b"}));
+  e.at_instant_end([&] { log.push_back("last"); });
+  EXPECT_FALSE(e.step());  // no event left, but the hook still runs
+  EXPECT_EQ(log.back(), "last");
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(Engine, HookThatArmsNothingLetsDaemonOnlyQueueStopRun) {
+  // A daemon event never keeps run() alive, with or without a pending hook.
+  Engine e;
+  bool daemon_fired = false, hook_ran = false;
+  e.schedule_at(10.0, [&] { daemon_fired = true; }, /*daemon=*/true);
+  e.at_instant_end([&] { hook_ran = true; });
+  e.run();
+  EXPECT_TRUE(hook_ran);
+  EXPECT_FALSE(daemon_fired);
+  EXPECT_DOUBLE_EQ(e.now(), 0.0);
 }
 
 }  // namespace

@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -226,6 +228,138 @@ std::vector<std::string> run_churn(std::uint64_t seed, bool reference, bool chec
   }
   trace.push_back("end t=" + num(engine.now()));
   return trace;
+}
+
+/// Observable result of one same-instant burst scenario.
+struct BurstTrace {
+  std::vector<std::string> rates;     ///< one line per instant, after its last mutation
+  std::vector<std::string> finishes;  ///< completion order, activity index only
+  std::vector<double> finish_times;
+  std::vector<std::string> exact;  ///< everything above, bit-exact (times, busy integrals)
+  double solves = 0.0;
+};
+
+/// Same-instant bursts: every operation lands on one of a few integer
+/// instants, several per instant, and some completions start a follow-up
+/// transfer on the same resources from their callback — the pattern that
+/// coalescing batches. Rates are sampled once per instant, after its last
+/// mutation. With `eager`, a query after every mutation forces a solve per
+/// mutation, which is the schedule the model had before coalescing.
+BurstTrace run_burst(std::uint64_t seed, bool reference, bool eager) {
+  Rng rng(seed * 0x2545f4914f6cdd1dULL + 7);
+  Engine engine;
+  FluidModel model(engine, reference);
+  const int n_res = 2 + static_cast<int>(rng.uniform_int(4));
+  std::vector<FluidModel::ResourceId> res;
+  for (int j = 0; j < n_res; ++j) {
+    res.push_back(model.add_resource("r" + std::to_string(j), rng.uniform(20.0, 200.0)));
+  }
+  BurstTrace out;
+  std::vector<FluidModel::ActivityId> acts;
+  auto after_mutation = [&] {
+    if (eager) model.allocated(res[0]);
+  };
+  // Declared before use so a completion callback can start a follow-up.
+  std::function<void(double, std::vector<FluidModel::ResourceId>, int)> start;
+  start = [&](double work, std::vector<FluidModel::ResourceId> uses, int follow_ups) {
+    const std::size_t idx = acts.size();
+    FluidModel::ActivitySpec spec;
+    spec.work = work;
+    spec.weight = 1.0 + static_cast<double>(idx % 3);
+    spec.resources = uses;
+    spec.on_complete = [&, idx, work, uses, follow_ups] {
+      out.finishes.push_back("finish " + std::to_string(idx));
+      out.finish_times.push_back(engine.now());
+      out.exact.push_back("finish " + std::to_string(idx) + " t=" + num(engine.now()));
+      if (follow_ups > 0) start(work, uses, follow_ups - 1);
+    };
+    acts.push_back(model.start(std::move(spec)));
+    after_mutation();
+  };
+  auto random_uses = [&] {
+    std::vector<FluidModel::ResourceId> uses;
+    const int n = 1 + static_cast<int>(rng.uniform_int(2));
+    for (int u = 0; u < n; ++u) {
+      const FluidModel::ResourceId r = res[rng.uniform_int(res.size())];
+      if (std::find(uses.begin(), uses.end(), r) == uses.end()) uses.push_back(r);
+    }
+    return uses;
+  };
+
+  const int instants = 4 + static_cast<int>(rng.uniform_int(5));
+  for (int t = 1; t <= instants; ++t) {
+    const int ops = 2 + static_cast<int>(rng.uniform_int(6));
+    for (int k = 0; k < ops; ++k) {
+      const int kind = static_cast<int>(rng.uniform_int(4));
+      const double work = rng.uniform(20.0, 400.0);
+      const double amount = rng.uniform(5.0, 150.0);
+      const std::size_t pick = rng.uniform_int(64);
+      const std::vector<FluidModel::ResourceId> uses = random_uses();
+      const int follow_ups = static_cast<int>(rng.uniform_int(3));
+      engine.schedule_at(t, [&, kind, work, amount, pick, uses, follow_ups] {
+        std::vector<std::size_t> live;
+        for (std::size_t i = 0; i < acts.size(); ++i) {
+          if (model.active(acts[i])) live.push_back(i);
+        }
+        if (kind == 0 || live.empty()) {
+          start(work, uses, follow_ups);
+        } else if (kind == 1) {
+          model.cancel(acts[live[pick % live.size()]]);
+          after_mutation();
+        } else if (kind == 2) {
+          model.set_cap(acts[live[pick % live.size()]], amount);
+          after_mutation();
+        } else {
+          model.set_capacity(uses.front(), amount);
+          after_mutation();
+        }
+      });
+    }
+    engine.schedule_at(t, [&, t] {
+      std::string line = "rates t=" + std::to_string(t);
+      for (std::size_t i = 0; i < acts.size(); ++i) {
+        if (model.active(acts[i])) line += " a" + std::to_string(i) + "=" + num(model.rate(acts[i]));
+      }
+      out.rates.push_back(line);
+      out.exact.push_back(line);
+    });
+  }
+  engine.run();
+  for (std::size_t j = 0; j < res.size(); ++j) {
+    out.exact.push_back("busy r" + std::to_string(j) + "=" + num(model.busy_integral(res[j])));
+  }
+  out.exact.push_back("end t=" + num(engine.now()) + " live=" + std::to_string(model.active_count()));
+  out.solves = engine.metrics().counter("sim.fluid.recomputes")->value();
+  return out;
+}
+
+TEST(FluidChurnTest, SameInstantBurstsCoalesceWithoutChangingTheSimulation) {
+  double coalesced_solves = 0.0, eager_solves = 0.0;
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const BurstTrace lazy = run_burst(seed, /*reference=*/false, /*eager=*/false);
+    // Replays are bit-identical, and the oracle (which also coalesces, and
+    // re-verifies every component after each solve round) agrees exactly.
+    EXPECT_EQ(lazy.exact, run_burst(seed, false, false).exact);
+    EXPECT_EQ(lazy.exact, run_burst(seed, /*reference=*/true, false).exact);
+    // Solving after every mutation instead reaches the same rates bit for
+    // bit: the max-min solution depends only on who is present. Finish
+    // projections may round differently when a rate moves and moves back
+    // within one instant, so completion times agree to rounding only.
+    const BurstTrace eager = run_burst(seed, false, /*eager=*/true);
+    EXPECT_EQ(lazy.rates, eager.rates);
+    ASSERT_EQ(lazy.finishes, eager.finishes);
+    for (std::size_t i = 0; i < lazy.finish_times.size(); ++i) {
+      EXPECT_NEAR(lazy.finish_times[i], eager.finish_times[i],
+                  1e-9 * std::max(1.0, eager.finish_times[i]));
+    }
+    EXPECT_LE(lazy.solves, eager.solves);
+    coalesced_solves += lazy.solves;
+    eager_solves += eager.solves;
+  }
+  // Bursts put several mutations on each instant, so batching must save a
+  // real share of the solves, not just break even.
+  EXPECT_LT(coalesced_solves, 0.8 * eager_solves);
 }
 
 TEST(FluidChurnTest, IncrementalMatchesReferenceExactlyOver200Seeds) {

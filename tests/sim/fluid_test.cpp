@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -271,6 +272,162 @@ TEST_F(FluidTest, AllocatedAndUtilizationAfterPartialSettles) {
   EXPECT_DOUBLE_EQ(model.allocated(r), 0.0);
   EXPECT_DOUBLE_EQ(model.utilization(r), 0.0);
   EXPECT_NEAR(model.busy_integral(r), 400.0, 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Same-instant coalescing: mutations mark components dirty, and each dirty
+// component is solved once when the instant ends.
+// ---------------------------------------------------------------------------
+
+double solves(Engine& engine) { return engine.metrics().counter("sim.fluid.recomputes")->value(); }
+
+TEST_F(FluidTest, SameInstantMutationsSolveEachDirtyComponentOnce) {
+  auto link = model.add_resource("link", 100.0);
+  auto disk = model.add_resource("disk", 60.0);
+  std::vector<FluidModel::ActivityId> flows, writes;
+  for (int i = 0; i < 10; ++i) flows.push_back(model.start({.work = 1e9, .resources = {link}}));
+  for (int i = 0; i < 3; ++i) writes.push_back(model.start({.work = 1e9, .resources = {disk}}));
+  model.set_capacity(disk, 90.0);
+  EXPECT_DOUBLE_EQ(solves(engine), 0.0);  // nothing is solved mid-instant
+  engine.run_until(1.0);
+  EXPECT_DOUBLE_EQ(solves(engine), 2.0);  // 14 mutations, 2 components
+  EXPECT_DOUBLE_EQ(engine.metrics().counter("sim.fluid.rate_recomputes")->value(), 14.0);
+  EXPECT_DOUBLE_EQ(model.rate(flows[0]), 10.0);
+  EXPECT_DOUBLE_EQ(model.rate(writes[0]), 30.0);
+}
+
+TEST_F(FluidTest, FinishAndRestartOnTheSameLinkCostOneSolve) {
+  // A completion callback starts the next transfer on the same link at the
+  // same instant: survivors and newcomer are solved together, once.
+  auto r = model.add_resource("link", 100.0);
+  auto background = model.start({.work = 1e9, .resources = {r}});
+  double second_done = -1.0;
+  model.start({.work = 100.0, .resources = {r}, .on_complete = [&] {
+                 model.start({.work = 100.0,
+                              .resources = {r},
+                              .on_complete = [&] { second_done = engine.now(); }});
+               }});
+  engine.run_until(1.0);
+  const double before = solves(engine);
+  engine.run_until(3.0);  // the first transfer finishes at t=2 (50/s)
+  EXPECT_DOUBLE_EQ(solves(engine) - before, 1.0);
+  EXPECT_DOUBLE_EQ(model.rate(background), 50.0);
+  engine.run_until(5.0);
+  EXPECT_NEAR(second_done, 4.0, 1e-9);
+}
+
+TEST_F(FluidTest, QueriesMidInstantSeeEveryMutationSoFar) {
+  auto r = model.add_resource("link", 90.0);
+  auto a = model.start({.work = 1e9, .resources = {r}});
+  EXPECT_DOUBLE_EQ(model.rate(a), 90.0);
+  auto b = model.start({.work = 1e9, .resources = {r}});
+  auto c = model.start({.work = 1e9, .cap = 10.0, .resources = {r}});
+  EXPECT_DOUBLE_EQ(model.rate(a), 40.0);
+  EXPECT_DOUBLE_EQ(model.allocated(r), 90.0);
+  model.cancel(b);
+  EXPECT_DOUBLE_EQ(model.rate(a), 80.0);
+  EXPECT_DOUBLE_EQ(model.utilization(r), 1.0);
+  EXPECT_DOUBLE_EQ(model.rate(c), 10.0);
+}
+
+TEST_F(FluidTest, RemainingAndBusyIntegralAreExactWithoutASolve) {
+  // Both integrate the rates that held until now, so a pending solve
+  // changes neither and reading them does not force one.
+  auto r = model.add_resource("link", 10.0);
+  auto a = model.start({.work = 100.0, .resources = {r}});
+  engine.run_until(4.0);
+  model.start({.work = 100.0, .resources = {r}});
+  const double before = solves(engine);
+  EXPECT_DOUBLE_EQ(model.remaining(a), 60.0);
+  EXPECT_DOUBLE_EQ(model.busy_integral(r), 40.0);
+  EXPECT_DOUBLE_EQ(solves(engine), before);
+}
+
+TEST_F(FluidTest, TimerDueInATouchedComponentStillFinishesAtItsInstant) {
+  // The joiner's event was scheduled before the component's timer was
+  // armed, so it runs first at t=1 and dirties the component the timer is
+  // about to finish. The timer re-solves instead of trusting its cached
+  // membership, and the finish still lands at t=1.
+  auto r = model.add_resource("link", 10.0);
+  double a_done = -1.0, b_done = -1.0;
+  engine.schedule_at(1.0, [&] {
+    model.start({.work = 10.0, .resources = {r}, .on_complete = [&] { b_done = engine.now(); }});
+  });
+  model.start({.work = 10.0, .resources = {r}, .on_complete = [&] { a_done = engine.now(); }});
+  engine.run();
+  EXPECT_DOUBLE_EQ(a_done, 1.0);
+  EXPECT_DOUBLE_EQ(b_done, 2.0);  // alone at 10/s from t=1
+}
+
+TEST_F(FluidTest, TimerDueAfterACoMemberWasCancelledThatInstant) {
+  // The cancel runs first at t=1 and frees a member of the component whose
+  // timer is due then; the timer must not walk its cached membership (the
+  // sanitizer builds turn a stale walk into a use-after-free report).
+  auto r = model.add_resource("link", 10.0);
+  double a_done = -1.0;
+  FluidModel::ActivityId b;
+  engine.schedule_at(1.0, [&] { EXPECT_TRUE(model.cancel(b)); });
+  model.start({.work = 5.0, .resources = {r}, .on_complete = [&] { a_done = engine.now(); }});
+  b = model.start({.work = 100.0, .resources = {r}});
+  engine.run();
+  EXPECT_DOUBLE_EQ(a_done, 1.0);  // 5 units at 5/s
+  EXPECT_FALSE(model.active(b));
+  EXPECT_EQ(model.active_count(), 0u);
+}
+
+TEST_F(FluidTest, AddWorkReArmsTheFinishWithoutAnEarlyWakeUp) {
+  // The rate does not change, but the solve still re-projects the finish
+  // from the new remaining work: one timer event at t=15, not a stale one
+  // at t=10 that then has to re-arm.
+  auto r = model.add_resource("link", 10.0);
+  double done = -1.0;
+  auto id = model.start({.work = 100.0, .resources = {r}, .on_complete = [&] {
+                           done = engine.now();
+                         }});
+  engine.run_until(5.0);
+  model.add_work(id, 50.0);
+  engine.run();
+  EXPECT_DOUBLE_EQ(done, 15.0);
+  EXPECT_EQ(engine.processed(), 1u);
+}
+
+TEST_F(FluidTest, ResourceLessActivityCoalescesToo) {
+  double done = -1.0;
+  auto id = model.start({.work = 50.0, .cap = 5.0, .on_complete = [&] { done = engine.now(); }});
+  model.set_cap(id, 10.0);
+  model.add_work(id, 50.0);
+  engine.run();
+  EXPECT_DOUBLE_EQ(done, 10.0);
+  EXPECT_DOUBLE_EQ(solves(engine), 1.0);
+}
+
+TEST(FluidCoalescing, CoFinishersCompleteInTheOrderTheirComponentsWereDirtied) {
+  // Timers are armed when the instant ends, component by component in
+  // first-dirtied order; two components due at the same instant complete
+  // in that order, so it is fixed by the mutation order alone.
+  auto run = [](bool first_a) {
+    Engine engine;
+    FluidModel model(engine);
+    auto ra = model.add_resource("a", 10.0);
+    auto rb = model.add_resource("b", 10.0);
+    std::vector<std::string> order;
+    auto start = [&](FluidModel::ResourceId r, const char* name) {
+      model.start({.work = 10.0, .resources = {r}, .on_complete = [&order, name] {
+                     order.emplace_back(name);
+                   }});
+    };
+    if (first_a) {
+      start(ra, "a");
+      start(rb, "b");
+    } else {
+      start(rb, "b");
+      start(ra, "a");
+    }
+    engine.run();
+    return order;
+  };
+  EXPECT_EQ(run(true), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(run(false), (std::vector<std::string>{"b", "a"}));
 }
 
 // ---------------------------------------------------------------------------
