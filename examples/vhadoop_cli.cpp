@@ -6,13 +6,9 @@
 //               [--workload-trace=FILE] [--trace-gen=SPEC]
 //               [--metrics-out=FILE] [--trace-out=FILE] [--spans-out=FILE]
 //               [--timeseries-out=FILE]
-//               [--sort-parallel-threshold=N] [--small-job-fast-path-bytes=N]
-//               [--merge-range-split-min=N]
 //
-// The three --sort/--small/--merge flags are the RunnerTuning data-path
-// knobs (DESIGN.md §15): they route the real-execution LocalJobRunner
-// between its serial small-job fast path and the parallel sort/merge
-// stages. All must be positive; outputs are identical at every setting.
+// Malformed command lines are rejected with a diagnostic and exit status 2:
+// unknown flags, flags missing their value, and non-positive numbers.
 //
 // workloads: wordcount | terasort | dfsio | mrbench | pi | multi | trace
 //
@@ -48,13 +44,16 @@
 //   vhadoop_cli multi --scheduler=fair
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <exception>
 #include <fstream>
-#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -89,9 +88,6 @@ struct Options {
   std::string topology = "single-switch";
   int racks = 2;
   int hosts_per_rack = 2;
-  long long sort_parallel_threshold = mapreduce::RunnerTuning::kDefaultSortParallelThreshold;
-  long long small_job_fast_path_bytes = mapreduce::RunnerTuning::kDefaultSmallJobFastPathBytes;
-  long long merge_range_split_min = mapreduce::RunnerTuning::kDefaultMergeRangeSplitMin;
 };
 
 int usage() {
@@ -103,53 +99,88 @@ int usage() {
                "[--racks=N] [--hosts-per-rack=N] "
                "[--workload-trace=FILE] [--trace-gen=SPEC] "
                "[--metrics-out=FILE] [--trace-out=FILE] [--spans-out=FILE] "
-               "[--timeseries-out=FILE] "
-               "[--sort-parallel-threshold=N] [--small-job-fast-path-bytes=N] "
-               "[--merge-range-split-min=N]\n");
+               "[--timeseries-out=FILE]\n");
   return 2;
 }
 
-Options parse(int argc, char** argv) {
-  Options opt;
-  if (argc < 2) return opt;
+/// Whole-string parse of a positive, finite number ("12x", "0", "-5" and
+/// "inf" all fail).
+template <typename T>
+bool parse_positive(const std::string& text, T& out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !(value > 0)) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  out = value;
+  return true;
+}
+
+bool parse_text(const std::string& text, std::string& out) {
+  out = text;
+  return !text.empty();
+}
+
+/// Parse argv into `opt`. Returns false after printing a diagnostic for an
+/// unknown flag, a flag without its value, or a non-positive number, so a
+/// typo cannot silently run the default scenario.
+bool parse(int argc, char** argv, Options& opt) {
   opt.workload = argv[1];
   for (int i = 2; i < argc; ++i) {
+    // --workers N and --mb SIZE take the next argument as their value;
+    // every other valued flag is spelled --name=VALUE.
     const std::string arg = argv[i];
+    std::string name = arg, value;
+    if (const auto eq = arg.find('='); eq != std::string::npos) {
+      name = arg.substr(0, eq);
+      value = arg.substr(eq + 1);
+    } else if ((arg == "--workers" || arg == "--mb") && i + 1 < argc) {
+      value = argv[++i];
+    }
+    bool ok = true;
     if (arg == "--cross") {
       opt.cross = true;
-    } else if (arg == "--workers" && i + 1 < argc) {
-      opt.workers = std::atoi(argv[++i]);
-    } else if (arg == "--mb" && i + 1 < argc) {
-      opt.mb = std::atof(argv[++i]);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      opt.metrics_out = arg.substr(14);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      opt.trace_out = arg.substr(12);
-    } else if (arg.rfind("--spans-out=", 0) == 0) {
-      opt.spans_out = arg.substr(12);
-    } else if (arg.rfind("--timeseries-out=", 0) == 0) {
-      opt.timeseries_out = arg.substr(17);
-    } else if (arg.rfind("--scheduler=", 0) == 0) {
-      opt.scheduler = arg.substr(12);
-    } else if (arg.rfind("--workload-trace=", 0) == 0) {
-      opt.workload_trace = arg.substr(17);
-    } else if (arg.rfind("--trace-gen=", 0) == 0) {
-      opt.trace_gen = arg.substr(12);
-    } else if (arg.rfind("--topology=", 0) == 0) {
-      opt.topology = arg.substr(11);
-    } else if (arg.rfind("--racks=", 0) == 0) {
-      opt.racks = std::atoi(arg.substr(8).c_str());
-    } else if (arg.rfind("--hosts-per-rack=", 0) == 0) {
-      opt.hosts_per_rack = std::atoi(arg.substr(17).c_str());
-    } else if (arg.rfind("--sort-parallel-threshold=", 0) == 0) {
-      opt.sort_parallel_threshold = std::atoll(arg.substr(26).c_str());
-    } else if (arg.rfind("--small-job-fast-path-bytes=", 0) == 0) {
-      opt.small_job_fast_path_bytes = std::atoll(arg.substr(28).c_str());
-    } else if (arg.rfind("--merge-range-split-min=", 0) == 0) {
-      opt.merge_range_split_min = std::atoll(arg.substr(24).c_str());
+    } else if (arg == "--workers") {
+      ok = parse_positive(value, opt.workers);
+    } else if (arg == "--mb") {
+      ok = parse_positive(value, opt.mb);
+    } else if (name == "--racks") {
+      ok = parse_positive(value, opt.racks);
+    } else if (name == "--hosts-per-rack") {
+      ok = parse_positive(value, opt.hosts_per_rack);
+    } else if (name == "--metrics-out") {
+      ok = parse_text(value, opt.metrics_out);
+    } else if (name == "--trace-out") {
+      ok = parse_text(value, opt.trace_out);
+    } else if (name == "--spans-out") {
+      ok = parse_text(value, opt.spans_out);
+    } else if (name == "--timeseries-out") {
+      ok = parse_text(value, opt.timeseries_out);
+    } else if (name == "--scheduler") {
+      ok = parse_text(value, opt.scheduler);
+    } else if (name == "--workload-trace") {
+      ok = parse_text(value, opt.workload_trace);
+    } else if (name == "--trace-gen") {
+      ok = parse_text(value, opt.trace_gen);
+    } else if (name == "--topology") {
+      ok = parse_text(value, opt.topology);
+    } else {
+      std::fprintf(stderr, "vhadoop_cli: unknown option '%s'\n", arg.c_str());
+      return false;
+    }
+    if (!ok && value.empty()) {
+      std::fprintf(stderr, "vhadoop_cli: %s needs a value\n", name.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "vhadoop_cli: %s needs a positive number, got '%s'\n", name.c_str(),
+                   value.c_str());
+      return false;
     }
   }
-  return opt;
+  return true;
 }
 
 /// Parse a --trace-gen SPEC ("jobs=N,horizon=S,tenants=N,process=...,seed=N,
@@ -207,8 +238,9 @@ bool write_text_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
-  if (opt.workload.empty()) return usage();
+  if (argc < 2) return usage();
+  Options opt;
+  if (!parse(argc, argv, opt)) return usage();
 
   const auto policy = mapreduce::scheduler_policy_from_string(opt.scheduler);
   if (!policy) {
@@ -221,22 +253,6 @@ int main(int argc, char** argv) {
   if (!topology) {
     std::fprintf(stderr, "vhadoop_cli: unknown topology '%s' (single-switch|fat-tree|rotor)\n",
                  opt.topology.c_str());
-    return 2;
-  }
-
-  if (opt.racks < 1 || opt.hosts_per_rack < 1) {
-    std::fprintf(stderr, "vhadoop_cli: --racks and --hosts-per-rack must be >= 1\n");
-    return 2;
-  }
-
-  // RunnerTuning validates at construction (rejects non-positive values);
-  // surface that as a usage error instead of an uncaught exception.
-  std::optional<mapreduce::RunnerTuning> tuning;
-  try {
-    tuning.emplace(opt.sort_parallel_threshold, opt.small_job_fast_path_bytes,
-                   opt.merge_range_split_min);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "vhadoop_cli: %s\n", e.what());
     return 2;
   }
 
@@ -257,7 +273,6 @@ int main(int argc, char** argv) {
   spec.placement = opt.cross ? core::Placement::CrossDomain : core::Placement::Normal;
   if (*topology != net::TopologyKind::SingleSwitch) spec.placement = core::Placement::Spread;
   spec.hadoop.scheduler = *policy;
-  spec.hadoop.runner = *tuning;
   if (*policy == mapreduce::SchedulerPolicy::Capacity) {
     if (opt.workload == "trace") {
       // Generated traces route jobs to these two queues; interactive
@@ -268,7 +283,12 @@ int main(int argc, char** argv) {
       spec.hadoop.queues = {{"prod", 0.7, 1.0, 1.0}, {"adhoc", 0.3, 0.5, 1.0}};
     }
   }
-  platform.boot_cluster(spec);
+  try {
+    platform.boot_cluster(spec);  // rejects clusters the testbed cannot host
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "vhadoop_cli: cannot boot the cluster: %s\n", e.what());
+    return 2;
+  }
   std::printf("cluster: %d workers, %s placement, %s scheduler (boot %.0f s simulated)\n",
               opt.workers, opt.cross ? "cross-domain" : "normal",
               platform.runner().scheduler_name(), platform.engine().now());
@@ -276,7 +296,7 @@ int main(int argc, char** argv) {
   if (opt.workload == "wordcount") {
     workloads::TextCorpus corpus(20000);
     auto lines = corpus.generate(opt.mb * sim::kMiB);
-    mapreduce::LocalJobRunner local(0, *tuning);
+    mapreduce::LocalJobRunner local;
     const int splits = std::max(1, static_cast<int>(opt.mb / 16.0));
     auto measured = local.run(workloads::wordcount_job(4), lines, splits);
     platform.upload("/in/corpus", mapreduce::serialized_bytes(lines));

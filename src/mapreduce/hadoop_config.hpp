@@ -1,55 +1,11 @@
 #pragma once
 
-#include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace vhadoop::mapreduce {
-
-/// Tuning knobs for the real-execution LocalJobRunner's optimized data path
-/// (DESIGN.md §15). All three are *routing* thresholds: they decide where
-/// work runs (serial vs parallel, fast path vs full pipeline), never what
-/// is computed — outputs and profiles are identical at every setting, and
-/// the split structure they induce is a pure function of data + config, so
-/// comparison counters stay reproducible across thread counts.
-///
-/// Validated at construction: every threshold must be positive (a zero or
-/// negative threshold would make the routing predicates degenerate).
-struct RunnerTuning {
-  RunnerTuning(std::int64_t sort_parallel_threshold_ = kDefaultSortParallelThreshold,
-               std::int64_t small_job_fast_path_bytes_ = kDefaultSmallJobFastPathBytes,
-               std::int64_t merge_range_split_min_ = kDefaultMergeRangeSplitMin)
-      : sort_parallel_threshold(sort_parallel_threshold_),
-        small_job_fast_path_bytes(small_job_fast_path_bytes_),
-        merge_range_split_min(merge_range_split_min_) {
-    if (sort_parallel_threshold <= 0) {
-      throw std::invalid_argument("RunnerTuning: sort_parallel_threshold must be positive");
-    }
-    if (small_job_fast_path_bytes <= 0) {
-      throw std::invalid_argument("RunnerTuning: small_job_fast_path_bytes must be positive");
-    }
-    if (merge_range_split_min <= 0) {
-      throw std::invalid_argument("RunnerTuning: merge_range_split_min must be positive");
-    }
-  }
-
-  static constexpr std::int64_t kDefaultSortParallelThreshold = 1 << 15;
-  static constexpr std::int64_t kDefaultSmallJobFastPathBytes = 256 * 1024;
-  static constexpr std::int64_t kDefaultMergeRangeSplitMin = 1 << 17;
-
-  /// A spill-sort partition larger than this many entries is cut into
-  /// power-of-two runs sorted in parallel (parallel_sort.hpp).
-  std::int64_t sort_parallel_threshold;
-  /// Jobs whose total input is at most this many bytes take the serial
-  /// single-pass fast path (no worker wake-up, no partition counting pass).
-  std::int64_t small_job_fast_path_bytes;
-  /// A reduce merge over more entries than this is split into prefix
-  /// key-ranges merged in parallel; smaller merges stay serial.
-  std::int64_t merge_range_split_min;
-};
 
 /// Which job scheduler the simulated JobTracker loads (the 0.20-era
 /// mapred.jobtracker.taskScheduler pluggability point).
@@ -135,8 +91,6 @@ struct HadoopConfig {
   /// Capacity-scheduler queues. Empty = a single "default" queue owning the
   /// whole cluster; jobs naming an unknown queue fall into the first one.
   std::vector<QueueConfig> queues;
-  /// Data-path tuning for the real-execution LocalJobRunner (DESIGN.md §15).
-  RunnerTuning runner;
 };
 
 }  // namespace vhadoop::mapreduce

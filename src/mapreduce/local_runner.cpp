@@ -22,23 +22,12 @@ bool reference_mode_from_env() {
 }  // namespace
 
 LocalJobRunner::LocalJobRunner(unsigned threads)
-    : LocalJobRunner(threads, reference_mode_from_env(), RunnerTuning{}) {}
-
-LocalJobRunner::LocalJobRunner(unsigned threads, bool reference)
-    : LocalJobRunner(threads, reference, RunnerTuning{}) {}
-
-LocalJobRunner::LocalJobRunner(unsigned threads, const RunnerTuning& tuning)
-    : LocalJobRunner(threads, reference_mode_from_env(), tuning) {}
+    : LocalJobRunner(threads, reference_mode_from_env()) {}
 
 LocalJobRunner::LocalJobRunner(unsigned threads, bool reference, const RunnerTuning& tuning)
     : threads_(threads == 0 ? default_threads() : threads),
       reference_(reference),
-      tuning_(tuning),
-      pool_(std::make_unique<WorkerPool>(threads_)) {}
-
-LocalJobRunner::~LocalJobRunner() = default;
-LocalJobRunner::LocalJobRunner(LocalJobRunner&&) noexcept = default;
-LocalJobRunner& LocalJobRunner::operator=(LocalJobRunner&&) noexcept = default;
+      tuning_(tuning) {}
 
 void sort_by_key(std::vector<KV>& records) {
   std::stable_sort(records.begin(), records.end(),
@@ -175,25 +164,8 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
     throw std::invalid_argument("JobSpec: use_combiner set but no combiner factory");
   }
   if (spec.config.num_reduces < 1) throw std::invalid_argument("JobSpec: num_reduces < 1");
-  if (reference_) return run_reference(spec, input, num_splits);
-  // Fast-path routing: jobs whose total input fits under the byte threshold
-  // take the fully serial single-pass route (no worker wake-up, no counting
-  // pass). The scan early-exits at the threshold, so big inputs pay O(1)
-  // records here. Routing depends only on data + config — a given job takes
-  // the same route at every thread count, and both routes produce identical
-  // results, profiles, and counters anyway (tested).
-  const auto fast_limit = static_cast<std::size_t>(tuning_.small_job_fast_path_bytes);
-  std::size_t scanned = 0;
-  bool small_job = true;
-  for (const KV& rec : input) {
-    scanned += rec.bytes();
-    if (scanned > fast_limit) {
-      small_job = false;
-      break;
-    }
-  }
-  return small_job ? run_optimized_small(spec, input, num_splits)
-                   : run_optimized(spec, input, num_splits);
+  return reference_ ? run_reference(spec, input, num_splits)
+                    : run_optimized(spec, input, num_splits);
 }
 
 JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV> input,
@@ -209,7 +181,7 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   const Partitioner partition = effective_partitioner(spec);
   const auto sort_threshold = static_cast<std::size_t>(tuning_.sort_parallel_threshold);
   const auto merge_min = static_cast<std::size_t>(tuning_.merge_range_split_min);
-  WorkerPool& pool = *pool_;
+  WorkerPool& pool = WorkerPool::shared(threads_);
 
   // --- phase A: map + partition --------------------------------------------
   // One arena per map task; partition lists hold 24-byte entries, so the
@@ -408,149 +380,6 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   });
 
   // Aggregate stats sequentially so the totals are deterministic.
-  for (const OptMapOutput& m : map_out) {
-    result.map_profiles.push_back(m.profile);
-    result.stats.map_emit_records += m.emit_records;
-    result.stats.map_emit_bytes += m.emit_bytes;
-    result.stats.sort_comparisons += m.sort_comparisons;
-    result.stats.arena_chunks += m.arena_chunks;
-  }
-  for (std::size_t r = 0; r < uR; ++r) {
-    result.stats.shuffle_records += reduce_profiles[r].input_records;
-    result.stats.merge_comparisons += merge_comparisons[r];
-  }
-  result.reduce_profiles = std::move(reduce_profiles);
-  for (auto& part : reduce_out) {
-    result.output.insert(result.output.end(), std::make_move_iterator(part.begin()),
-                         std::make_move_iterator(part.end()));
-  }
-  return result;
-}
-
-JobResult LocalJobRunner::run_optimized_small(const JobSpec& spec, std::span<const KV> input,
-                                              int num_splits) const {
-  // Serial single-pass route for small jobs: same dataflow, same arenas,
-  // same sort/merge structure (so results, profiles, and counters are
-  // identical to run_optimized on the same input — tested), but no worker
-  // wake-up, no flat phase bookkeeping, and partitioning pushes entries in
-  // one pass instead of count + reserve + fill.
-  const int R = spec.config.num_reduces;
-  const int S = clamp_splits(num_splits, threads_, input.size());
-  const auto uR = static_cast<std::size_t>(R);
-  const auto uS = static_cast<std::size_t>(S);
-  const bool custom_partitioner = static_cast<bool>(spec.partitioner);
-  const Partitioner partition = effective_partitioner(spec);
-  const auto sort_threshold = static_cast<std::size_t>(tuning_.sort_parallel_threshold);
-  const auto merge_min = static_cast<std::size_t>(tuning_.merge_range_split_min);
-  WorkerPool& pool = *pool_;
-
-  std::vector<OptMapOutput> map_out(uS);
-  const std::size_t n = input.size();
-  for (std::size_t m = 0; m < uS; ++m) {
-    const std::size_t lo = n * m / uS;
-    const std::size_t hi = n * (m + 1) / uS;
-    auto split = input.subspan(lo, hi - lo);
-
-    auto mapper = spec.mapper();
-    Context ctx;
-    mapper->setup(ctx);
-    double in_bytes = 0.0;
-    for (const KV& rec : split) {
-      in_bytes += static_cast<double>(rec.bytes());
-      mapper->map(rec.key, rec.value, ctx);
-    }
-    mapper->cleanup(ctx);
-
-    OptMapOutput& out = map_out[m];
-    out.arena = ctx.take_batch();
-    out.emit_records = static_cast<std::int64_t>(out.arena.size());
-    out.emit_bytes = static_cast<std::int64_t>(out.arena.total_bytes());
-    out.arena_chunks = out.arena.chunks_allocated();
-    out.profile.input_records = static_cast<std::int64_t>(split.size());
-    out.profile.input_bytes = in_bytes;
-
-    // Single-pass partition: push each entry straight into its partition,
-    // accounting shuffle bytes as we go. Entry order per partition — and so
-    // every downstream byte sum — matches the counting path exactly.
-    const auto entries = out.arena.entries();
-    out.parts.assign(uR, {});
-    out.part_bytes.assign(uR, 0.0);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const std::string_view key = entries[i].key();
-      const int p = custom_partitioner ? partition(key, R) : default_partition(key, R);
-      if (p < 0 || p >= R) throw std::out_of_range("partitioner returned out-of-range index");
-      out.parts[static_cast<std::size_t>(p)].push_back(entries[i]);
-      out.part_bytes[static_cast<std::size_t>(p)] += static_cast<double>(entries[i].bytes());
-    }
-    if (spec.config.use_combiner) out.combined.resize(uR);
-    for (std::size_t p = 0; p < uR; ++p) {
-      auto& part = out.parts[p];
-      // parallel_sort_entries inlines for small partitions (K == 1 below the
-      // threshold) and only engages the pool if a tiny input amplified into
-      // a huge spill — either way the count matches run_optimized's.
-      out.sort_comparisons += parallel_sort_entries(part.data(), part.size(), sort_threshold, pool);
-      if (spec.config.use_combiner && !part.empty()) {
-        auto combiner = spec.combiner();
-        Context cctx;
-        reduce_entries_into(*combiner, part, cctx);
-        out.combined[p] = cctx.take_batch();
-        const KVBatch& cb = out.combined[p];
-        out.arena_chunks += cb.chunks_allocated();
-        part.assign(cb.entries().begin(), cb.entries().end());
-        out.sort_comparisons +=
-            parallel_sort_entries(part.data(), part.size(), sort_threshold, pool);
-        out.part_bytes[p] = static_cast<double>(cb.total_bytes());
-      }
-      for (const KVBatch::Entry& e : part) {
-        ++out.profile.output_records;
-        out.profile.output_bytes += static_cast<double>(e.bytes());
-      }
-    }
-    out.profile.cpu_seconds =
-        modeled_cpu(spec.config.cost, out.profile.input_records, out.profile.input_bytes,
-                    out.profile.output_records, out.profile.output_bytes, /*is_map=*/true);
-  }
-
-  JobResult result;
-  result.shuffle_matrix.assign(uS, std::vector<double>(uR, 0.0));
-  for (std::size_t m = 0; m < uS; ++m) {
-    for (std::size_t r = 0; r < uR; ++r) {
-      result.shuffle_matrix[m][r] = map_out[m].part_bytes[r];
-      result.total_shuffle_bytes += map_out[m].part_bytes[r];
-    }
-  }
-
-  std::vector<std::vector<KV>> reduce_out(uR);
-  std::vector<TaskProfile> reduce_profiles(uR);
-  std::vector<std::int64_t> merge_comparisons(uR, 0);
-  for (std::size_t r = 0; r < uR; ++r) {
-    TaskProfile& prof = reduce_profiles[r];
-    std::vector<std::span<const KVBatch::Entry>> runs;
-    runs.reserve(uS);
-    for (std::size_t m = 0; m < uS; ++m) {
-      const auto& part = map_out[m].parts[r];
-      prof.input_records += static_cast<std::int64_t>(part.size());
-      prof.input_bytes += map_out[m].part_bytes[r];
-      runs.push_back(part);
-    }
-    std::vector<KVBatch::Entry> merged;
-    // Routes to the serial heap merge below merge_min, same as the big path.
-    merge_comparisons[r] = parallel_merge_runs(runs, merged, merge_min, pool);
-
-    auto reducer = spec.reducer();
-    Context ctx;
-    ctx.materialize_direct();
-    ctx.reserve(merged.size());
-    reduce_entries_into(*reducer, merged, ctx);
-    reduce_out[r] = ctx.take_output();
-    for (const KV& rec : reduce_out[r]) {
-      ++prof.output_records;
-      prof.output_bytes += static_cast<double>(rec.bytes());
-    }
-    prof.cpu_seconds = modeled_cpu(spec.config.cost, prof.input_records, prof.input_bytes,
-                                   prof.output_records, prof.output_bytes, /*is_map=*/false);
-  }
-
   for (const OptMapOutput& m : map_out) {
     result.map_profiles.push_back(m.profile);
     result.stats.map_emit_records += m.emit_records;

@@ -6,6 +6,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -43,8 +45,8 @@ struct ParallelDepthScope {
 /// call. If an iteration throws, the remaining iterations are drained
 /// (skipped) and the first exception is rethrown on the caller.
 ///
-/// This is the standalone helper for one-shot callers (ml assignment loops);
-/// the job runner's hot path uses the persistent WorkerPool below instead.
+/// Only the runner's reference oracle uses it; everything else runs on the
+/// shared WorkerPool below.
 template <typename Fn>
 void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
   if (n == 0) return;
@@ -75,15 +77,14 @@ void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Persistent, lazily-started worker pool. One pool lives for the life of a
-/// LocalJobRunner and serves every parallel section of every job it runs —
-/// replacing the previous spawn-threads-per-call parallel_for, whose
-/// fork/join cost dominated small jobs (dozens of parallel sections per ML
-/// iteration, each paying worker creation).
+/// Persistent, lazily-started worker pool. `WorkerPool::shared(threads)`
+/// hands out one pool per thread count that lives for the whole process:
+/// every LocalJobRunner and every ml::assign_nearest call at that count
+/// borrows it, so a chain of millisecond jobs pays worker creation once per
+/// process instead of once per runner or per call.
 ///
 /// Threads start on the first parallel batch that can actually use them
-/// (never for serial pools or single-iteration batches), so a runner that
-/// only ever executes small-job fast paths never creates a thread.
+/// (never for serial pools or single-iteration batches).
 ///
 /// parallel_for is a template over the callable: the callable stays on the
 /// caller's stack and is invoked through one function pointer — no
@@ -92,7 +93,8 @@ void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
 /// first exception is rethrown on the caller. Nested calls (from inside a
 /// worker) execute inline, so parallel algorithms may compose without
 /// deadlock; determinism is unaffected because split structure never
-/// depends on the execution schedule.
+/// depends on the execution schedule. Top-level callers on different
+/// threads take turns: one batch runs at a time.
 class WorkerPool {
  public:
   explicit WorkerPool(unsigned threads = 0)
@@ -108,6 +110,18 @@ class WorkerPool {
     }
     wake_.notify_all();
     for (std::thread& t : workers_) t.join();
+  }
+
+  /// The process-wide pool for `threads` workers (0 = default_threads()).
+  /// Created on first use and joined at process exit.
+  static WorkerPool& shared(unsigned threads = 0) {
+    static std::mutex pools_mutex;
+    static std::map<unsigned, std::unique_ptr<WorkerPool>> pools;
+    const unsigned n = threads == 0 ? default_threads() : threads;
+    const std::scoped_lock lock(pools_mutex);
+    std::unique_ptr<WorkerPool>& pool = pools[n];
+    if (!pool) pool = std::make_unique<WorkerPool>(n);
+    return *pool;
   }
 
   unsigned threads() const { return threads_; }
@@ -138,8 +152,12 @@ class WorkerPool {
   /// as all *indices* are done (rather than when all workers have left the
   /// claim loop) keeps batch latency low; the next publish waits for
   /// `active_ == 0` so stragglers from the previous batch can never observe
-  /// the counters being reset.
+  /// the counters being reset. `caller_` admits one top-level caller at a
+  /// time: the batch state (n_, completed_, first_error_) belongs to it
+  /// from publish until its own wake-up, so a second caller cannot
+  /// overwrite it between this caller's `--active_` and its `done_` wait.
   void run_batch(std::size_t n, void (*invoke)(void*, std::size_t), void* ctx) {
+    const std::scoped_lock turn(caller_);
     start();
     {
       std::unique_lock lock(m_);
@@ -228,6 +246,7 @@ class WorkerPool {
   }
 
   const unsigned threads_;
+  std::mutex caller_;  ///< held by the one top-level caller running a batch
   mutable std::mutex m_;
   std::condition_variable wake_;
   std::condition_variable done_;

@@ -48,10 +48,9 @@ std::vector<int> assign_nearest(const Dataset& data, const std::vector<Vec>& cen
                                 unsigned threads) {
   const CenterMatrix flat(centers);
   std::vector<int> assignments(data.size());
-  mapreduce::parallel_for(data.size(), threads == 0 ? mapreduce::default_threads() : threads,
-                          [&](std::size_t i) {
-                            assignments[i] = nearest_center(data.points[i], flat);
-                          });
+  mapreduce::WorkerPool::shared(threads).parallel_for(data.size(), [&](std::size_t i) {
+    assignments[i] = nearest_center(data.points[i], flat);
+  });
   return assignments;
 }
 

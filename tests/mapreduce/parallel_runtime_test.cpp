@@ -1,20 +1,22 @@
 // Unit tests for the deterministic intra-task parallel runtime (DESIGN.md
-// §15): the free template parallel_for, the persistent WorkerPool, the
-// RunnerTuning validation, and the run-split parallel sort / prefix-range
-// parallel merge whose comparison counts must be bit-identical across
-// thread counts.
+// §15): the free template parallel_for, the persistent WorkerPool and its
+// process-wide instances, the RunnerTuning validation, and the run-split
+// parallel sort / prefix-range parallel merge whose comparison counts must
+// be bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "mapreduce/hadoop_config.hpp"
 #include "mapreduce/kv_batch.hpp"
+#include "mapreduce/local_runner.hpp"
 #include "mapreduce/parallel_sort.hpp"
 #include "mapreduce/thread_pool.hpp"
 
@@ -161,27 +163,68 @@ TEST(WorkerPool, NestedCallsRunInlineWithoutDeadlock) {
   EXPECT_EQ(units.load(), 32);
 }
 
+TEST(WorkerPool, SharedIsOnePoolPerThreadCount) {
+  mr::WorkerPool& three = mr::WorkerPool::shared(3);
+  EXPECT_EQ(three.threads(), 3u);
+  EXPECT_EQ(&mr::WorkerPool::shared(3), &three);
+  EXPECT_NE(&mr::WorkerPool::shared(2), &three);
+  EXPECT_EQ(&mr::WorkerPool::shared(0), &mr::WorkerPool::shared(mr::default_threads()));
+}
+
+TEST(WorkerPool, ConcurrentCallersGetOnlyTheirOwnIndicesAndExceptions) {
+  // Two top-level callers interleave batches on one pool; every third batch
+  // throws. Each caller must see each index of a clean batch exactly once,
+  // and only its own exceptions.
+  mr::WorkerPool pool(4);
+  auto caller = [&pool](int id, std::string& failure) {
+    for (int b = 0; b < 300 && failure.empty(); ++b) {
+      const std::size_t n = 2 + static_cast<std::size_t>((b * 13 + id * 7) % 97);
+      const bool throws = b % 3 == id;
+      const std::string tag = "caller " + std::to_string(id) + " batch " + std::to_string(b);
+      std::vector<std::atomic<int>> hits(n);
+      try {
+        pool.parallel_for(n, [&](std::size_t i) {
+          hits[i].fetch_add(1);
+          if (throws && i == n / 2) throw std::runtime_error(tag);
+        });
+        if (throws) failure = tag + ": exception lost";
+      } catch (const std::runtime_error& e) {
+        if (!throws || e.what() != tag) failure = tag + ": caught '" + e.what() + "'";
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const int h = hits[i].load();
+        if (h > 1 || (!throws && h != 1)) {
+          failure = tag + ": index " + std::to_string(i) + " ran " + std::to_string(h) + "x";
+        }
+      }
+    }
+  };
+  std::string failure0, failure1;
+  std::thread t0(caller, 0, std::ref(failure0));
+  std::thread t1(caller, 1, std::ref(failure1));
+  t0.join();
+  t1.join();
+  EXPECT_EQ(failure0, "");
+  EXPECT_EQ(failure1, "");
+}
+
 // --- RunnerTuning validation -------------------------------------------------
 
 TEST(RunnerTuning, DefaultsArePositiveAndPreserved) {
   const mr::RunnerTuning t;
   EXPECT_EQ(t.sort_parallel_threshold, mr::RunnerTuning::kDefaultSortParallelThreshold);
-  EXPECT_EQ(t.small_job_fast_path_bytes, mr::RunnerTuning::kDefaultSmallJobFastPathBytes);
   EXPECT_EQ(t.merge_range_split_min, mr::RunnerTuning::kDefaultMergeRangeSplitMin);
-  const mr::RunnerTuning custom(10, 20, 30);
+  const mr::RunnerTuning custom(10, 30);
   EXPECT_EQ(custom.sort_parallel_threshold, 10);
-  EXPECT_EQ(custom.small_job_fast_path_bytes, 20);
   EXPECT_EQ(custom.merge_range_split_min, 30);
 }
 
 TEST(RunnerTuning, RejectsNonPositiveValues) {
-  EXPECT_THROW(mr::RunnerTuning(0, 1, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(-5, 1, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, 0, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, -1, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, 1, 0), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, 1, -7), std::invalid_argument);
-  EXPECT_NO_THROW(mr::RunnerTuning(1, 1, 1));
+  EXPECT_THROW(mr::RunnerTuning(0, 1), std::invalid_argument);
+  EXPECT_THROW(mr::RunnerTuning(-5, 1), std::invalid_argument);
+  EXPECT_THROW(mr::RunnerTuning(1, 0), std::invalid_argument);
+  EXPECT_THROW(mr::RunnerTuning(1, -7), std::invalid_argument);
+  EXPECT_NO_THROW(mr::RunnerTuning(1, 1));
 }
 
 // --- run_split_count ---------------------------------------------------------
@@ -226,7 +269,7 @@ TEST(ParallelSort, ComparisonCountIsIdenticalAcrossThreadCounts) {
 
 TEST(ParallelSort, SerialThresholdMatchesSortEntriesExactly) {
   // K == 1 (threshold >= n) must be byte-for-byte the serial algorithm,
-  // comparisons included — the small-job fast path depends on this.
+  // comparisons included.
   const auto batch = random_batch(3, 800, 25);
   auto serial = entries_of(batch);
   const std::int64_t serial_comps = mr::sort_entries(serial);

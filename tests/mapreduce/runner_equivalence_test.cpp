@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "mapreduce/kv_batch.hpp"
@@ -407,6 +410,14 @@ TEST(RunnerEdgeCases, ReferenceFlagComesFromConstructor) {
   EXPECT_FALSE(opt.reference());
 }
 
+TEST(RunnerEdgeCases, TuningComesFromConstructor) {
+  const mr::RunnerTuning t(7, 11);
+  const mr::LocalJobRunner runner(2, false, t);
+  EXPECT_EQ(runner.tuning().sort_parallel_threshold, 7);
+  EXPECT_EQ(runner.tuning().merge_range_split_min, 11);
+  EXPECT_FALSE(runner.reference());
+}
+
 // --- thread-count sweep (DESIGN.md §15) --------------------------------------
 //
 // The parallel data path's determinism contract: for a fixed tuning, the
@@ -414,10 +425,10 @@ TEST(RunnerEdgeCases, ReferenceFlagComesFromConstructor) {
 // comparison + arena-chunk counters — is byte-identical at every thread
 // count, and outputs/profiles always match the reference oracle.
 
-/// Tuning that disables the small-job fast path and forces deep parallel
-/// split structures even on tiny inputs (64-entry thresholds), so small
-/// shapes exercise the full multi-threaded pipeline too.
-mr::RunnerTuning forced_full_tuning() { return {64, 1, 64}; }
+/// Tuning that forces deep parallel sort and merge split structures even on
+/// tiny inputs (64-entry thresholds), so small shapes exercise the full
+/// multi-threaded pipeline too.
+mr::RunnerTuning forced_full_tuning() { return {64, 64}; }
 
 void run_thread_sweep(const std::vector<mr::KV>& records, int splits, int reduces, bool combiner,
                       const std::vector<mr::RunnerTuning>& tunings) {
@@ -475,8 +486,8 @@ TEST(ThreadCountSweep, SingleHotKey) {
 }
 
 TEST(ThreadCountSweep, MillionRecords) {
-  // Big enough (~8 MB) to route past the fast path and trigger the real
-  // parallel spill sorts and range-split reduce merges at default tuning.
+  // Big enough (~8 MB) to trigger the real parallel spill sorts and
+  // range-split reduce merges at default tuning.
   std::uint64_t s = 24;
   std::vector<mr::KV> records;
   records.reserve(1000000);
@@ -492,33 +503,43 @@ TEST(ThreadCountSweep, MillionRecords) {
   run_thread_sweep(records, 8, 2, /*combiner=*/false, {mr::RunnerTuning{}});
 }
 
-// --- small-job fast path (DESIGN.md §15) -------------------------------------
+// --- shared worker pool (DESIGN.md §15) --------------------------------------
 
-TEST(SmallJobFastPath, RoutingIsInvisibleInResultsAndCounters) {
-  // The fast path calls the same routed sort/merge primitives as the full
-  // pipeline, so forcing it off (1-byte threshold) must reproduce the
-  // entire JobResult — optimized-only counters included.
-  const auto records = random_records(31, 400);
-  const auto spec = echo_spec(3, true);
-  const mr::LocalJobRunner fast(4, /*reference=*/false);  // default: fast path taken
-  const mr::RunnerTuning no_fast_path(mr::RunnerTuning::kDefaultSortParallelThreshold, 1,
-                                      mr::RunnerTuning::kDefaultMergeRangeSplitMin);
-  const mr::LocalJobRunner full(4, false, no_fast_path);
-  const auto a = fast.run(spec, records, 4);
-  const auto b = full.run(spec, records, 4);
-  expect_results_equal(a, b);
-  EXPECT_EQ(a.stats.sort_comparisons, b.stats.sort_comparisons);
-  EXPECT_EQ(a.stats.merge_comparisons, b.stats.merge_comparisons);
-  EXPECT_EQ(a.stats.arena_chunks, b.stats.arena_chunks);
-}
+TEST(SharedPool, ConcurrentJobsMatchSerialRuns) {
+  // Runners at the default thread count all borrow one process-wide pool;
+  // two threads running jobs through it at once must each get exactly the
+  // result (counters included) of a serial run of their own job.
+  const auto records_a = random_records(41, 2000);
+  const auto records_b = random_records(42, 1500);
+  const auto spec_a = echo_spec(3, /*combiner=*/true);
+  const auto spec_b = echo_spec(4, /*combiner=*/false);
+  const mr::LocalJobRunner serial(1, false, forced_full_tuning());
+  const auto want_a = serial.run(spec_a, records_a, 6);
+  const auto want_b = serial.run(spec_b, records_b, 5);
 
-TEST(SmallJobFastPath, TuningIsCarriedByTheRunner) {
-  const mr::RunnerTuning t(7, 9, 11);
-  const mr::LocalJobRunner runner(2, t);
-  EXPECT_EQ(runner.tuning().sort_parallel_threshold, 7);
-  EXPECT_EQ(runner.tuning().small_job_fast_path_bytes, 9);
-  EXPECT_EQ(runner.tuning().merge_range_split_min, 11);
-  EXPECT_FALSE(runner.reference());
+  constexpr int kRuns = 8;
+  std::vector<mr::JobResult> got_a, got_b;
+  auto run_many = [](const mr::JobSpec& spec, const std::vector<mr::KV>& records, int splits,
+                     std::vector<mr::JobResult>& out) {
+    for (int k = 0; k < kRuns; ++k) {
+      const mr::LocalJobRunner runner(0, false, forced_full_tuning());
+      out.push_back(runner.run(spec, records, splits));
+    }
+  };
+  std::thread ta(run_many, std::cref(spec_a), std::cref(records_a), 6, std::ref(got_a));
+  std::thread tb(run_many, std::cref(spec_b), std::cref(records_b), 5, std::ref(got_b));
+  ta.join();
+  tb.join();
+
+  for (const auto& [got, want] : {std::pair{&got_a, &want_a}, std::pair{&got_b, &want_b}}) {
+    ASSERT_EQ(got->size(), static_cast<std::size_t>(kRuns));
+    for (const mr::JobResult& r : *got) {
+      expect_results_equal(r, *want);
+      EXPECT_EQ(r.stats.sort_comparisons, want->stats.sort_comparisons);
+      EXPECT_EQ(r.stats.merge_comparisons, want->stats.merge_comparisons);
+      EXPECT_EQ(r.stats.arena_chunks, want->stats.arena_chunks);
+    }
+  }
 }
 
 }  // namespace
