@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +18,11 @@ Engine::Engine()
 }
 
 Engine::EventId Engine::schedule_at(SimTime t, Callback cb, bool daemon) {
+  // A NaN key would break the heap's strict weak ordering; an infinite one
+  // would never fire yet keep run() alive.
+  if (!std::isfinite(t)) {
+    throw std::invalid_argument("Engine::schedule_at: time must be finite");
+  }
   if (t < now_ - kEps) {
     throw std::invalid_argument("Engine::schedule_at: time in the past");
   }

@@ -34,7 +34,8 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Schedule `cb` at absolute time `t` (must be >= now()). Daemon events
+  /// Schedule `cb` at absolute time `t` (finite and >= now(); anything
+  /// else throws std::invalid_argument). Daemon events
   /// (periodic samplers, watchdogs) fire normally while the simulation is
   /// driven by regular events, but never keep `run()` alive on their own —
   /// like daemon threads.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,23 @@ TEST(Engine, SchedulingInThePastThrows) {
   e.schedule_at(10.0, [] {});
   e.run();
   EXPECT_THROW(e.schedule_at(5.0, [] {}), std::invalid_argument);
+}
+
+TEST(Engine, NonFiniteTimesThrowAndLeaveTheQueueUntouched) {
+  Engine e;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {nan, inf, -inf}) {
+    EXPECT_THROW(e.schedule_at(t, [] {}), std::invalid_argument) << t;
+    EXPECT_THROW(e.schedule_in(t, [] {}), std::invalid_argument) << t;
+  }
+  EXPECT_EQ(e.pending(), 0u);
+  // Ordering stays intact for the events that were accepted.
+  std::vector<int> order;
+  e.schedule_at(2.0, [&] { order.push_back(2); });
+  e.schedule_at(1.0, [&] { order.push_back(1); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(Engine, CancelPreventsCallback) {

@@ -8,6 +8,9 @@
 // (operator==, not within a tolerance): the incremental solver's contract is
 // that it produces the same simulation, not an approximation of it.
 //
+// A class-shaped family repeats this on the workloads activity classes
+// aggregate (DESIGN.md §10): one shared set, many private resources.
+//
 // Independently of the mode comparison, a test-local naive progressive
 // filling solver (written against the textbook algorithm, sharing no code
 // with src/sim/fluid.cpp) re-derives the global weighted max-min allocation
@@ -360,6 +363,192 @@ TEST(FluidChurnTest, SameInstantBurstsCoalesceWithoutChangingTheSimulation) {
   // Bursts put several mutations on each instant, so batching must save a
   // real share of the solves, not just break even.
   EXPECT_LT(coalesced_solves, 0.8 * eager_solves);
+}
+
+/// Class-shaped churn: the pattern activity classes aggregate. Every
+/// activity uses one of two shared sets plus its own private resource (a
+/// per-slot resource, as a VM's vdisk), so many members share a key. The
+/// schedule then moves activities between classes every way the model
+/// knows: a second activity landing on a slot (its private resource turns
+/// shared) and leaving again, set_capacity on private resources, set_cap on
+/// members (pausing some), and activities that list a shared resource
+/// twice. Weights are integers or, with `integer_weights` false, not.
+struct ClassChurn {
+  std::vector<std::string> trace;
+  double members_solved = 0.0;  ///< sim.fluid.component_size sum
+  double classes_solved = 0.0;  ///< sim.fluid.component_classes sum
+};
+
+ClassChurn run_class_churn(std::uint64_t seed, bool reference, bool check_oracle,
+                           bool integer_weights) {
+  Rng rng(seed * 0xd1342543de82ef95ULL + 3);
+  Engine engine;
+  FluidModel model(engine, reference);
+
+  // Resources 0..1 are shared; 2.. are the per-slot private ones, with
+  // capacities from a small set so that keys collide.
+  const double private_caps[] = {40.0, 70.0};
+  std::vector<FluidModel::ResourceId> res;
+  std::vector<double> res_capacity;
+  auto add = [&](const std::string& name, double c) {
+    res.push_back(model.add_resource(name, c));
+    res_capacity.push_back(c);
+  };
+  add("shared0", rng.uniform(150.0, 400.0));
+  add("shared1", rng.uniform(150.0, 400.0));
+  const int slots = 12 + static_cast<int>(rng.uniform_int(9));
+  for (int k = 0; k < slots; ++k) add("slot" + std::to_string(k), private_caps[k % 2]);
+
+  ClassChurn out;
+  std::vector<ActInfo> acts;
+  // Mostly one common weight/cap/shared set, so members pile into classes;
+  // the rest split them.
+  auto start_activity = [&](std::size_t slot) {
+    ActInfo info;
+    const bool common = rng.uniform() < 0.8;
+    if (integer_weights) {
+      info.weight = common ? 1.0 : 2.0;
+    } else {
+      info.weight = common ? 1.5 : (rng.uniform() < 0.5 ? 0.5 : 2.25);
+    }
+    if (rng.uniform() < 0.1) info.cap = 12.0;
+    info.res = {0};
+    if (rng.uniform() < 0.75) info.res.push_back(1);
+    if (rng.uniform() < 0.05) info.res.push_back(0);  // duplicate entry
+    info.res.push_back(2 + slot);
+    FluidModel::ActivitySpec spec;
+    spec.work = rng.uniform(50.0, 400.0);
+    spec.weight = info.weight;
+    spec.cap = info.cap;
+    for (std::size_t j : info.res) spec.resources.push_back(res[j]);
+    const std::size_t idx = acts.size();
+    spec.on_complete = [&out, &engine, idx] {
+      out.trace.push_back("finish " + std::to_string(idx) + " t=" + num(engine.now()));
+    };
+    info.id = model.start(std::move(spec));
+    acts.push_back(std::move(info));
+  };
+
+  auto sample = [&] {
+    std::vector<std::size_t> live;
+    std::string line = "rates t=" + num(engine.now());
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+      if (!model.active(acts[i].id)) continue;
+      live.push_back(i);
+      line += " a" + std::to_string(i) + "=" + num(model.rate(acts[i].id));
+    }
+    out.trace.push_back(std::move(line));
+    if (!check_oracle || live.empty()) return;
+    std::vector<double> weight, cap;
+    std::vector<std::vector<std::size_t>> uses;
+    for (std::size_t i : live) {
+      weight.push_back(acts[i].weight);
+      cap.push_back(acts[i].cap);
+      uses.push_back(acts[i].res);
+    }
+    const std::vector<double> want = naive_max_min(res_capacity, weight, cap, uses);
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      const double got = model.rate(acts[live[k]].id);
+      EXPECT_NEAR(got, want[k], 1e-9 * std::max(1.0, std::abs(want[k])))
+          << "activity " << live[k] << " at t=" << engine.now();
+    }
+  };
+
+  // One activity per slot to begin with: every slot resource is private.
+  for (int k = 0; k < slots; ++k) start_activity(static_cast<std::size_t>(k));
+
+  const int n_ops = 20 + static_cast<int>(rng.uniform_int(21));
+  for (int op = 0; op < n_ops; ++op) {
+    const double at = rng.uniform(0.2, 30.0);
+    const int kind = static_cast<int>(rng.uniform_int(6));
+    const std::size_t pick = rng.uniform_int(64);
+    const std::size_t slot = rng.uniform_int(static_cast<std::size_t>(slots));
+    const double amount = rng.uniform(5.0, 60.0);
+    engine.schedule_at(at, [&, kind, pick, slot, amount] {
+      sample();
+      std::vector<std::size_t> live;
+      for (std::size_t i = 0; i < acts.size(); ++i) {
+        if (model.active(acts[i].id)) live.push_back(i);
+      }
+      const std::size_t target = live.empty() ? 0 : live[pick % live.size()];
+      switch (kind) {
+        case 0:  // a second user on the slot: its resource turns shared
+          start_activity(slot);
+          break;
+        case 1:  // a slot may fall back to one user: private again
+          if (!live.empty()) {
+            model.cancel(acts[target].id);
+            out.trace.push_back("cancel " + std::to_string(target));
+          }
+          break;
+        case 2: {  // a private capacity moves the member to another class
+          const double c = private_caps[pick % 2] + (pick % 3 == 0 ? amount : 0.0);
+          res_capacity[2 + slot] = c;
+          model.set_capacity(res[2 + slot], c);
+          break;
+        }
+        case 3:  // pause, resume, or re-cap a member
+          if (!live.empty()) {
+            const double caps[] = {0.0, kInf, 12.0, amount};
+            acts[target].cap = caps[pick % 4];
+            model.set_cap(acts[target].id, acts[target].cap);
+          }
+          break;
+        case 4:
+          if (!live.empty()) model.add_work(acts[target].id, amount);
+          break;
+        case 5:  // shared capacity: every class on it re-solves
+          res_capacity[pick % 2] = 100.0 + 4.0 * amount;
+          model.set_capacity(res[pick % 2], res_capacity[pick % 2]);
+          break;
+      }
+      sample();
+    });
+  }
+  // Resume anything still paused, so the run drains.
+  engine.schedule_at(31.0, [&] {
+    for (ActInfo& info : acts) {
+      if (model.active(info.id) && !(info.cap > 0.0)) {
+        info.cap = kInf;
+        model.set_cap(info.id, kInf);
+      }
+    }
+    sample();
+  });
+
+  engine.run();
+  EXPECT_EQ(model.active_count(), 0u) << "seed " << seed << " left stalled activities";
+  for (std::size_t j = 0; j < res.size(); ++j) {
+    out.trace.push_back("busy r" + std::to_string(j) + "=" + num(model.busy_integral(res[j])));
+  }
+  out.trace.push_back("end t=" + num(engine.now()));
+  out.members_solved = engine.metrics().find_histogram("sim.fluid.component_size")->sum();
+  out.classes_solved = engine.metrics().find_histogram("sim.fluid.component_classes")->sum();
+  return out;
+}
+
+TEST(FluidChurnTest, ClassShapedChurnMatchesReferenceAndTextbook) {
+  double members = 0.0, classes = 0.0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    for (bool integer_weights : {true, false}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (integer_weights ? " integer" : " fractional"));
+      const ClassChurn inc = run_class_churn(seed, /*reference=*/false,
+                                             /*check_oracle=*/seed % 3 == 0, integer_weights);
+      // The reference run also re-derives every class from raw state after
+      // each solve round and aborts on a stale one.
+      const ClassChurn ref = run_class_churn(seed, /*reference=*/true,
+                                             /*check_oracle=*/false, integer_weights);
+      ASSERT_EQ(inc.trace.size(), ref.trace.size());
+      for (std::size_t i = 0; i < inc.trace.size(); ++i) {
+        ASSERT_EQ(inc.trace[i], ref.trace[i]) << "trace line " << i;
+      }
+      EXPECT_EQ(inc.members_solved, ref.members_solved);
+      members += inc.members_solved;
+      classes += inc.classes_solved;
+    }
+  }
+  // Classes really form: solves visit markedly fewer classes than members.
+  EXPECT_LT(classes, 0.8 * members) << classes << " classes for " << members << " members";
 }
 
 TEST(FluidChurnTest, IncrementalMatchesReferenceExactlyOver200Seeds) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,44 @@ TEST_F(FluidTest, CapOnlyActivityNeedsNoResource) {
 
 TEST_F(FluidTest, UncappedActivityWithoutResourceThrows) {
   EXPECT_THROW(model.start({.work = 1.0}), std::invalid_argument);
+}
+
+TEST_F(FluidTest, NonFiniteInputsAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto r = model.add_resource("link", 100.0);
+  for (double bad : {nan, inf, -inf}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(model.start({.work = bad, .resources = {r}}), std::invalid_argument);
+    EXPECT_THROW(model.start({.work = 1.0, .weight = bad, .resources = {r}}),
+                 std::invalid_argument);
+    EXPECT_THROW(model.add_resource("bad", bad), std::invalid_argument);
+    EXPECT_THROW(model.set_capacity(r, bad), std::invalid_argument);
+  }
+  EXPECT_THROW(model.start({.work = 1.0, .cap = nan, .resources = {r}}), std::invalid_argument);
+  EXPECT_EQ(model.active_count(), 0u);
+  EXPECT_EQ(model.capacity(r), 100.0);
+
+  // An infinite cap stays the "unlimited" default on a resource-bound
+  // activity; NaN never is.
+  auto a = model.start({.work = 100.0, .cap = inf, .resources = {r}});
+  EXPECT_THROW(model.set_cap(a, nan), std::invalid_argument);
+  model.set_cap(a, inf);
+  for (double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(model.add_work(a, bad), std::invalid_argument) << bad;
+  }
+  // A resource-less activity needs a finite cap for its whole life.
+  auto paced = model.start({.work = 10.0, .cap = 5.0});
+  EXPECT_THROW(model.set_cap(paced, inf), std::invalid_argument);
+
+  double done = -1.0;
+  model.add_work(a, 100.0);
+  model.set_cap(a, 50.0);
+  model.start({.work = 0.0, .resources = {r}, .on_complete = [&] { done = engine.now(); }});
+  engine.run();
+  EXPECT_EQ(model.active_count(), 0u);
+  EXPECT_NEAR(done, 0.0, 1e-12);
+  EXPECT_NEAR(engine.now(), 4.0, 1e-9);  // 200 units at the 50/s cap
 }
 
 TEST_F(FluidTest, MultiResourceActivityLimitedByTightestResource) {
