@@ -213,24 +213,31 @@ class WorkerPool {
   /// first exception and drains the rest by exchanging the claim counter
   /// to n (crediting the never-claimed indices so completion accounting
   /// still reaches n exactly).
+  ///
+  /// The drain and its credit run only after the catch handler has ended:
+  /// the credit may wake the caller, which rethrows and destroys the
+  /// exception, and the handler's own release of it must come first.
   void work() {
     const detail::ParallelDepthScope scope;
     const std::size_t n = n_;
     for (;;) {
       const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
+      bool threw = false;
       try {
         invoke_(ctx_, i);
-        credit(1, n);
       } catch (...) {
-        {
-          const std::scoped_lock lock(m_);
-          if (!first_error_) first_error_ = std::current_exception();
-        }
-        const std::size_t old = next_.exchange(n, std::memory_order_relaxed);
-        // This index, plus every index nobody will ever claim.
-        credit(1 + (old < n ? n - old : 0), n);
+        threw = true;
+        const std::scoped_lock lock(m_);
+        if (!first_error_) first_error_ = std::current_exception();
       }
+      if (!threw) {
+        credit(1, n);
+        continue;
+      }
+      const std::size_t old = next_.exchange(n, std::memory_order_relaxed);
+      // This index, plus every index nobody will ever claim.
+      credit(1 + (old < n ? n - old : 0), n);
     }
   }
 
