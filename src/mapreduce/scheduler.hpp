@@ -15,7 +15,8 @@ namespace vhadoop::mapreduce {
 enum class SlotKind { Map, Reduce };
 
 /// The scheduler's view of one active job at a scheduling instant. Views are
-/// passed in submission order, so `views[0]` is the oldest job.
+/// passed in submission order, so `views[0]` is the oldest job (the only
+/// one a `head_of_line()` scheduler is shown).
 struct JobSchedView {
   std::uint64_t id = 0;
   std::size_t submit_index = 0;
@@ -58,6 +59,10 @@ class Scheduler {
   /// True if map-slot calls should carry locality info in the views (the
   /// runner skips the per-job block scan for schedulers that ignore it).
   virtual bool wants_locality() const { return false; }
+  /// True if `pick` reads only `views[0]`: the runner then passes just the
+  /// oldest job's view, so a pick costs the same however many jobs queue
+  /// behind it. A policy that looks past the head must leave this false.
+  virtual bool head_of_line() const { return false; }
   /// Pick the job to receive one slot of `kind`; `total_slots` is the
   /// cluster-wide live slot count of that kind. Returns an index into
   /// `views` or kNone to leave the slot free this heartbeat.
@@ -70,6 +75,7 @@ class Scheduler {
 class FifoScheduler final : public Scheduler {
  public:
   const char* name() const override { return "fifo"; }
+  bool head_of_line() const override { return true; }
   std::size_t pick(const std::vector<JobSchedView>& views, SlotKind kind,
                    int total_slots) const override;
 };

@@ -281,11 +281,14 @@ std::size_t SimulatedJobRunner::pick_job(SlotKind kind, std::size_t tracker_idx)
   const bool locality = kind == SlotKind::Map && scheduler_->wants_locality();
   const virt::VmId vm = trackers_[tracker_idx].vm;
   const double now = cloud_.engine().now();
-  std::vector<JobSchedView> views;
-  views.reserve(jobs_.size());
-  for (auto& jp : jobs_) {
-    ActiveJob& job = *jp;
-    JobSchedView v;
+  // A head-of-line policy reads only the oldest job's view, so build just
+  // that one: the pick then costs the same however long the backlog is.
+  const std::size_t n = scheduler_->head_of_line() ? std::min<std::size_t>(jobs_.size(), 1)
+                                                   : jobs_.size();
+  views_.clear();
+  for (std::size_t j = 0; j < n; ++j) {
+    ActiveJob& job = *jobs_[j];
+    JobSchedView& v = views_.emplace_back();
     v.id = job.id;
     v.submit_index = job.submit_index;
     v.queue = job.spec.queue;
@@ -313,9 +316,8 @@ std::size_t SimulatedJobRunner::pick_job(SlotKind kind, std::size_t tracker_idx)
         v.locality_wait = now - job.locality_wait_since;
       }
     }
-    views.push_back(std::move(v));
   }
-  return scheduler_->pick(views, kind, total_live_slots(kind));
+  return scheduler_->pick(views_, kind, total_live_slots(kind));
 }
 
 void SimulatedJobRunner::note_job_started(ActiveJob& job) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "mapreduce/scheduler.hpp"
+#include "sim/rng.hpp"
 
 namespace vhadoop::mapreduce {
 namespace {
@@ -139,6 +142,66 @@ TEST(CapacitySchedulerTest, EmptyQueueListGetsDefaultQueue) {
   EXPECT_EQ(s.queues()[0].name, "default");
   std::vector<JobSchedView> views = {view(1, 0, 1)};
   EXPECT_EQ(s.pick(views, SlotKind::Map, 10), 0u);
+}
+
+// --- head_of_line() trait -------------------------------------------------------
+
+constexpr SchedulerPolicy kEveryPolicy[] = {SchedulerPolicy::Fifo, SchedulerPolicy::Fair,
+                                            SchedulerPolicy::Capacity, SchedulerPolicy::Deadline};
+
+std::unique_ptr<Scheduler> policy_scheduler(SchedulerPolicy policy) {
+  HadoopConfig hc;
+  hc.scheduler = policy;
+  hc.queues = two_queues();
+  return make_scheduler(hc);
+}
+
+TEST(HeadOfLineTrait, OnlyFifoReadsJustTheHead) {
+  for (const SchedulerPolicy p : kEveryPolicy) {
+    EXPECT_EQ(policy_scheduler(p)->head_of_line(), p == SchedulerPolicy::Fifo) << to_string(p);
+  }
+}
+
+/// A view with every field the policies read drawn at random; `pending` and
+/// `running` are often zero so heads without work of the offered kind and
+/// idle jobs behind them both come up.
+JobSchedView random_view(sim::Rng& rng, std::size_t index) {
+  static const char* const kQueues[] = {"prod", "adhoc", "nope"};
+  static const char* const kUsers[] = {"alice", "bob"};
+  JobSchedView v = view(index + 1, static_cast<int>(rng.uniform_int(4)) * 2,
+                        static_cast<std::size_t>(rng.uniform_int(6)) / 2,
+                        kQueues[rng.uniform_int(3)], kUsers[rng.uniform_int(2)]);
+  v.local_available = rng.uniform_int(2) == 0;
+  v.rack_local_available = rng.uniform_int(2) == 0;
+  v.locality_wait = rng.uniform(0.0, 15.0);
+  v.priority = static_cast<int>(rng.uniform_int(3));
+  v.deadline = rng.uniform_int(3) == 0 ? sim::kNever : rng.uniform(0.0, 600.0);
+  v.age = rng.uniform(0.0, 900.0);
+  v.started = rng.uniform_int(2) == 0;
+  return v;
+}
+
+TEST(HeadOfLineTrait, PickOverAllViewsEqualsPickOverTheHeadAlone) {
+  // The runner shows a head_of_line() policy only views[0]; that is sound
+  // only while pick() never looks past it.
+  sim::Rng rng(1515);
+  int checked = 0;
+  for (const SchedulerPolicy p : kEveryPolicy) {
+    const std::unique_ptr<Scheduler> s = policy_scheduler(p);
+    if (!s->head_of_line()) continue;
+    for (int round = 0; round < 4000; ++round) {
+      std::vector<JobSchedView> views;
+      const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(8));
+      for (std::size_t i = 0; i < n; ++i) views.push_back(random_view(rng, i));
+      const SlotKind kind = rng.uniform_int(2) == 0 ? SlotKind::Map : SlotKind::Reduce;
+      const int slots = 1 + static_cast<int>(rng.uniform_int(32));
+      const std::vector<JobSchedView> head(views.begin(), views.begin() + 1);
+      ASSERT_EQ(s->pick(views, kind, slots), s->pick(head, kind, slots))
+          << s->name() << ", round " << round << ", " << n << " views";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // --- factory + parsing ---------------------------------------------------------
