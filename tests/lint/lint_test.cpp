@@ -337,7 +337,9 @@ TEST(LayerDag, UpwardIncludeFlagged) {
   const auto res = vlint::run(files);
   EXPECT_EQ(count_rule(res, "layer-dag"), 1);
   for (const auto& f : res.findings) {
-    if (f.rule == "layer-dag") EXPECT_EQ(f.path, "src/sim/engine2.cpp");
+    if (f.rule == "layer-dag") {
+      EXPECT_EQ(f.path, "src/sim/engine2.cpp");
+    }
   }
 }
 
