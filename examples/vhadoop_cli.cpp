@@ -8,7 +8,8 @@
 //               [--timeseries-out=FILE]
 //
 // Malformed command lines are rejected with a diagnostic and exit status 2:
-// unknown flags, flags missing their value, and non-positive numbers.
+// unknown flags, flags missing their value, and non-positive numbers
+// (including the jobs, horizon and tenants of --trace-gen).
 //
 // workloads: wordcount | terasort | dfsio | mrbench | pi | multi | trace
 //
@@ -46,8 +47,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <sstream>
@@ -118,6 +119,16 @@ bool parse_positive(const std::string& text, T& out) {
   return true;
 }
 
+/// Whole-string parse of an unsigned number ("12x", "-1" and "" fail).
+bool parse_unsigned(const std::string& text, std::uint64_t& out) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return false;
+  out = value;
+  return true;
+}
+
 bool parse_text(const std::string& text, std::string& out) {
   out = text;
   return !text.empty();
@@ -184,8 +195,10 @@ bool parse(int argc, char** argv, Options& opt) {
 }
 
 /// Parse a --trace-gen SPEC ("jobs=N,horizon=S,tenants=N,process=...,seed=N,
-/// out=FILE"). Unknown keys are fatal so typos cannot silently produce the
-/// default trace. Returns false (with a message) on a malformed spec.
+/// out=FILE"). Unknown keys and malformed numbers (jobs, horizon and tenants
+/// must be positive, seed unsigned) are fatal so typos cannot silently
+/// produce a default or degenerate trace. Returns false (with a message) on
+/// a malformed spec.
 bool parse_gen_spec(const std::string& spec, workloads::TraceGenConfig& gen,
                     std::string& out_file) {
   std::stringstream ss(spec);
@@ -198,14 +211,15 @@ bool parse_gen_spec(const std::string& spec, workloads::TraceGenConfig& gen,
       return false;
     }
     const std::string key = kv.substr(0, eq), val = kv.substr(eq + 1);
+    const char* need = nullptr;  // set when a numeric value is malformed
     if (key == "jobs") {
-      gen.num_jobs = std::atoi(val.c_str());
+      if (!parse_positive(val, gen.num_jobs)) need = "a positive number";
     } else if (key == "horizon") {
-      gen.horizon_seconds = std::atof(val.c_str());
+      if (!parse_positive(val, gen.horizon_seconds)) need = "a positive number";
     } else if (key == "tenants") {
-      gen.num_tenants = std::atoi(val.c_str());
+      if (!parse_positive(val, gen.num_tenants)) need = "a positive number";
     } else if (key == "seed") {
-      gen.seed = static_cast<std::uint64_t>(std::atoll(val.c_str()));
+      if (!parse_unsigned(val, gen.seed)) need = "an unsigned number";
     } else if (key == "process") {
       if (val == "poisson") {
         gen.process = workloads::ArrivalProcess::Poisson;
@@ -219,6 +233,11 @@ bool parse_gen_spec(const std::string& spec, workloads::TraceGenConfig& gen,
       out_file = val;
     } else {
       std::fprintf(stderr, "vhadoop_cli: unknown --trace-gen key '%s'\n", key.c_str());
+      return false;
+    }
+    if (need != nullptr) {
+      std::fprintf(stderr, "vhadoop_cli: --trace-gen %s needs %s, got '%s'\n", key.c_str(), need,
+                   val.c_str());
       return false;
     }
   }
@@ -255,6 +274,11 @@ int main(int argc, char** argv) {
                  opt.topology.c_str());
     return 2;
   }
+
+  // Checked before the cluster boots, like every other malformed flag.
+  workloads::TraceGenConfig trace_gen;
+  std::string trace_gen_out;
+  if (!parse_gen_spec(opt.trace_gen, trace_gen, trace_gen_out)) return 2;
 
   core::TestbedConfig testbed;
   testbed.net.topology.kind = *topology;
@@ -380,14 +404,11 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else {
-      workloads::TraceGenConfig gen;
-      std::string gen_out;
-      if (!parse_gen_spec(opt.trace_gen, gen, gen_out)) return 2;
-      trace = workloads::generate_trace(gen);
-      if (!gen_out.empty()) {
-        if (!write_text_file(gen_out, trace.serialize())) return 1;
+      trace = workloads::generate_trace(trace_gen);
+      if (!trace_gen_out.empty()) {
+        if (!write_text_file(trace_gen_out, trace.serialize())) return 1;
         std::printf("trace: wrote %zu records to %s\n", trace.records.size(),
-                    gen_out.c_str());
+                    trace_gen_out.c_str());
         return 0;
       }
     }
