@@ -17,8 +17,8 @@ namespace vhadoop::mapreduce {
 /// aligned so `decode_vec_view` reads them in place downstream.
 ///
 /// A Context can instead be switched to *direct* mode (`materialize_direct`)
-/// before any emit: records then become owning strings immediately. The
-/// optimized runner uses this for the final reduce stage, whose output must
+/// before any emit: records then become owning strings immediately.
+/// LocalJobRunner uses this for the final reduce stage, whose output must
 /// end up as owning strings in JobResult anyway — emitting through the
 /// arena there would be a pure extra copy of every output record.
 class Context {
@@ -33,7 +33,7 @@ class Context {
   }
 
   /// Capacity hint for the expected number of emits (pass-through reducers
-  /// emit one record per merged input; see run_optimized's reduce phase).
+  /// emit one record per merged input; see LocalJobRunner::run's reduce phase).
   void reserve(std::size_t records) {
     if (direct_) out_.reserve(records);
     else batch_.reserve_entries(records);
@@ -49,8 +49,8 @@ class Context {
   const KVBatch& batch() const { return batch_; }
   KVBatch take_batch() { return std::move(batch_); }
 
-  /// Materialize records as owning strings (final reduce output, reference
-  /// path, tests).
+  /// Materialize records as owning strings (final reduce output, the test
+  /// oracle, tests).
   std::vector<KV> take_output() {
     if (direct_) {
       direct_bytes_ = 0;
@@ -140,10 +140,10 @@ struct TaskProfile {
 /// Deterministic data-path counters for one job run. All counters are
 /// exact functions of the job's records (no clocks, no addresses), so
 /// bench/ml_scaling can gate on them machine-independently. The comparison
-/// and arena counters come from the repo's own sort/merge/arena code
-/// (kv_batch.hpp) and are only meaningful on the optimized path; the
-/// reference oracle (VHADOOP_RUNNER_REFERENCE=1) fills just the
-/// mode-independent record/byte counters and leaves them zero.
+/// and arena counters come from LocalJobRunner's own sort/merge/arena code
+/// (kv_batch.hpp); the test oracle (tests/testutil/reference_runner.hpp)
+/// has none of that code, so it fills just the record/byte counters and
+/// leaves them zero.
 struct DataPathStats {
   std::int64_t map_emit_records = 0;   ///< records emitted by all mappers
   std::int64_t map_emit_bytes = 0;     ///< logical bytes emitted by all mappers

@@ -1,7 +1,6 @@
 #include "mapreduce/local_runner.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -11,52 +10,11 @@
 
 namespace vhadoop::mapreduce {
 
-namespace {
+LocalJobRunner::LocalJobRunner(unsigned threads, const RunnerTuning& tuning)
+    : threads_(threads == 0 ? default_threads() : threads), tuning_(tuning) {}
 
-bool reference_mode_from_env() {
-  // vlint: allow(no-os-entropy) audited PR 8: opt-in oracle switch; both modes produce byte-identical job results, verified by the runner equivalence suite
-  const char* v = std::getenv("VHADOOP_RUNNER_REFERENCE");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-}  // namespace
-
-LocalJobRunner::LocalJobRunner(unsigned threads)
-    : LocalJobRunner(threads, reference_mode_from_env()) {}
-
-LocalJobRunner::LocalJobRunner(unsigned threads, bool reference, const RunnerTuning& tuning)
-    : threads_(threads == 0 ? default_threads() : threads),
-      reference_(reference),
-      tuning_(tuning) {}
-
-void sort_by_key(std::vector<KV>& records) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const KV& a, const KV& b) { return a.key < b.key; });
-}
-
-std::vector<KV> reduce_sorted(Reducer& reducer, std::span<const KV> sorted) {
-  Context ctx;
-  reducer.setup(ctx);
-  std::size_t i = 0;
-  std::vector<std::string_view> values;
-  while (i < sorted.size()) {
-    std::size_t j = i;
-    values.clear();
-    while (j < sorted.size() && sorted[j].key == sorted[i].key) {
-      values.push_back(sorted[j].value);
-      ++j;
-    }
-    reducer.reduce(sorted[i].key, values, ctx);
-    i = j;
-  }
-  reducer.cleanup(ctx);
-  return ctx.take_output();
-}
-
-namespace {
-
-double modeled_cpu(const CostModel& c, std::int64_t in_records, double in_bytes,
-                   std::int64_t out_records, double out_bytes, bool is_map) {
+double modeled_task_cpu(const CostModel& c, std::int64_t in_records, double in_bytes,
+                        std::int64_t out_records, double out_bytes, bool is_map) {
   const double per_record = is_map ? c.map_cpu_per_record : c.reduce_cpu_per_record;
   const double per_byte = is_map ? c.map_cpu_per_byte : c.reduce_cpu_per_byte;
   // Input drives the dominant term; emitted data costs the same rates again
@@ -71,11 +29,7 @@ int clamp_splits(int num_splits, unsigned threads, std::size_t input_size) {
   return std::max(1, std::min<int>(s, input_size == 0 ? 1 : static_cast<int>(input_size)));
 }
 
-Partitioner effective_partitioner(const JobSpec& spec) {
-  return spec.partitioner
-             ? spec.partitioner
-             : Partitioner([](std::string_view k, int r) { return default_partition(k, r); });
-}
+namespace {
 
 /// Group a key-sorted entry run (equal keys are adjacent) and feed each
 /// group to `reducer`, collecting output in `ctx`. The equality test uses
@@ -99,18 +53,7 @@ void reduce_entries_into(Reducer& reducer, std::span<const KVBatch::Entry> sorte
   reducer.cleanup(ctx);
 }
 
-// --- reference path (VHADOOP_RUNNER_REFERENCE=1 oracle) ---------------------
-
-struct MapTaskOutput {
-  std::vector<std::vector<KV>> partitions;  // [reduce] -> records (sorted)
-  TaskProfile profile;
-  std::int64_t emit_records = 0;
-  std::int64_t emit_bytes = 0;
-};
-
-// --- optimized path (arena-backed, default) ---------------------------------
-
-struct OptMapOutput {
+struct MapOutput {
   KVBatch arena;                                    // owns all mapper-emitted bytes
   std::vector<KVBatch> combined;                    // [reduce] combiner output arenas
   std::vector<std::vector<KVBatch::Entry>> parts;   // [reduce] -> sorted entries
@@ -164,12 +107,7 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
     throw std::invalid_argument("JobSpec: use_combiner set but no combiner factory");
   }
   if (spec.config.num_reduces < 1) throw std::invalid_argument("JobSpec: num_reduces < 1");
-  return reference_ ? run_reference(spec, input, num_splits)
-                    : run_optimized(spec, input, num_splits);
-}
 
-JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV> input,
-                                        int num_splits) const {
   const int R = spec.config.num_reduces;
   const int S = clamp_splits(num_splits, threads_, input.size());
   const auto uR = static_cast<std::size_t>(R);
@@ -178,7 +116,6 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   // to it directly (inlined) instead of through a std::function unless the
   // job installed a custom partitioner.
   const bool custom_partitioner = static_cast<bool>(spec.partitioner);
-  const Partitioner partition = effective_partitioner(spec);
   const auto sort_threshold = static_cast<std::size_t>(tuning_.sort_parallel_threshold);
   const auto merge_min = static_cast<std::size_t>(tuning_.merge_range_split_min);
   WorkerPool& pool = WorkerPool::shared(threads_);
@@ -189,7 +126,7 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   // Sorting is deliberately NOT done here: hoisting it into its own flat
   // phase (B) lets a huge partition use the whole pool instead of being
   // stuck inside one map task's slot (DESIGN.md §15).
-  std::vector<OptMapOutput> map_out(uS);
+  std::vector<MapOutput> map_out(uS);
   const std::size_t n = input.size();
   pool.parallel_for(uS, [&](std::size_t m) {
     const std::size_t lo = n * m / uS;
@@ -206,7 +143,7 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
     }
     mapper->cleanup(ctx);
 
-    OptMapOutput& out = map_out[m];
+    MapOutput& out = map_out[m];
     out.arena = ctx.take_batch();
     out.emit_records = static_cast<std::int64_t>(out.arena.size());
     out.emit_bytes = static_cast<std::int64_t>(out.arena.total_bytes());
@@ -215,7 +152,7 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
     out.profile.input_bytes = in_bytes;
 
     // Partition entries (not records) and account shuffle bytes in the same
-    // pass — the reference path re-walks every record for the byte totals.
+    // pass — the reference oracle re-walks every record for the byte totals.
     // Each entry's slot is computed once into `slot`, counted, and the
     // partition lists reserved exactly: no growth reallocations and no
     // second hash pass.
@@ -224,7 +161,7 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
     std::vector<std::size_t> counts(uR, 0);
     for (std::size_t i = 0; i < entries.size(); ++i) {
       const std::string_view key = entries[i].key();
-      const int p = custom_partitioner ? partition(key, R) : default_partition(key, R);
+      const int p = custom_partitioner ? spec.partitioner(key, R) : default_partition(key, R);
       if (p < 0 || p >= R) throw std::out_of_range("partitioner returned out-of-range index");
       slot[i] = static_cast<std::uint32_t>(p);
       ++counts[static_cast<std::size_t>(p)];
@@ -288,10 +225,10 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   }
 
   // --- phase D: map profiles -----------------------------------------------
-  // Same accumulation order as the reference path: partitions in p order,
+  // Same accumulation order as the reference oracle: partitions in p order,
   // entries in order, so the double sums are exactly equal.
   pool.parallel_for(uS, [&](std::size_t m) {
-    OptMapOutput& out = map_out[m];
+    MapOutput& out = map_out[m];
     for (std::size_t p = 0; p < uR; ++p) {
       for (const KVBatch::Entry& e : out.parts[p]) {
         ++out.profile.output_records;
@@ -301,13 +238,13 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
       out.arena_chunks += combiner_chunks[m * uR + p];
     }
     out.profile.cpu_seconds =
-        modeled_cpu(spec.config.cost, out.profile.input_records, out.profile.input_bytes,
+        modeled_task_cpu(spec.config.cost, out.profile.input_records, out.profile.input_bytes,
                     out.profile.output_records, out.profile.output_bytes, /*is_map=*/true);
   });
 
   // --- shuffle accounting --------------------------------------------------
-  // Byte totals were accumulated during partitioning; both paths sum the
-  // same integral record sizes, so the doubles are exactly equal.
+  // Byte totals were accumulated during partitioning; the reference oracle
+  // sums the same integral record sizes, so the doubles are exactly equal.
   JobResult result;
   result.shuffle_matrix.assign(uS, std::vector<double>(uR, 0.0));
   for (std::size_t m = 0; m < uS; ++m) {
@@ -320,7 +257,7 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   // --- phase E: reduce merges ----------------------------------------------
   // True k-way merge of the per-map sorted runs; ties resolve to the earlier
   // map then within-run order, which is exactly the order the reference
-  // path's stable sort of the concatenation produces. Small merges batch
+  // oracle's stable sort of the concatenation produces. Small merges batch
   // across the pool; a merge over more than merge_range_split_min entries
   // runs at top level so the prefix-range parallel merge can use the pool —
   // one huge partition no longer serializes the reduce side.
@@ -375,12 +312,12 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
       ++prof.output_records;
       prof.output_bytes += static_cast<double>(rec.bytes());
     }
-    prof.cpu_seconds = modeled_cpu(spec.config.cost, prof.input_records, prof.input_bytes,
+    prof.cpu_seconds = modeled_task_cpu(spec.config.cost, prof.input_records, prof.input_bytes,
                                    prof.output_records, prof.output_bytes, /*is_map=*/false);
   });
 
   // Aggregate stats sequentially so the totals are deterministic.
-  for (const OptMapOutput& m : map_out) {
+  for (const MapOutput& m : map_out) {
     result.map_profiles.push_back(m.profile);
     result.stats.map_emit_records += m.emit_records;
     result.stats.map_emit_bytes += m.emit_bytes;
@@ -390,121 +327,6 @@ JobResult LocalJobRunner::run_optimized(const JobSpec& spec, std::span<const KV>
   for (std::size_t r = 0; r < uR; ++r) {
     result.stats.shuffle_records += reduce_profiles[r].input_records;
     result.stats.merge_comparisons += merge_comparisons[r];
-  }
-  result.reduce_profiles = std::move(reduce_profiles);
-  for (auto& part : reduce_out) {
-    result.output.insert(result.output.end(), std::make_move_iterator(part.begin()),
-                         std::make_move_iterator(part.end()));
-  }
-  return result;
-}
-
-JobResult LocalJobRunner::run_reference(const JobSpec& spec, std::span<const KV> input,
-                                        int num_splits) const {
-  const int R = spec.config.num_reduces;
-  const int S = clamp_splits(num_splits, threads_, input.size());
-  const Partitioner partition = effective_partitioner(spec);
-
-  // --- map phase -----------------------------------------------------------
-  std::vector<MapTaskOutput> map_out(static_cast<std::size_t>(S));
-  const std::size_t n = input.size();
-  parallel_for(static_cast<std::size_t>(S), threads_, [&](std::size_t m) {
-    const std::size_t lo = n * m / static_cast<std::size_t>(S);
-    const std::size_t hi = n * (m + 1) / static_cast<std::size_t>(S);
-    auto split = input.subspan(lo, hi - lo);
-
-    auto mapper = spec.mapper();
-    Context ctx;
-    mapper->setup(ctx);
-    double in_bytes = 0.0;
-    for (const KV& rec : split) {
-      in_bytes += static_cast<double>(rec.bytes());
-      mapper->map(rec.key, rec.value, ctx);
-    }
-    mapper->cleanup(ctx);
-    MapTaskOutput& out = map_out[m];
-    out.emit_records = static_cast<std::int64_t>(ctx.emitted_records());
-    out.emit_bytes = static_cast<std::int64_t>(ctx.emitted_bytes());
-    std::vector<KV> emitted = ctx.take_output();
-
-    out.profile.input_records = static_cast<std::int64_t>(split.size());
-    out.profile.input_bytes = in_bytes;
-
-    // Partition, sort, optionally combine — the in-memory spill path.
-    out.partitions.assign(static_cast<std::size_t>(R), {});
-    for (KV& rec : emitted) {
-      const int p = partition(rec.key, R);
-      if (p < 0 || p >= R) throw std::out_of_range("partitioner returned out-of-range index");
-      out.partitions[static_cast<std::size_t>(p)].push_back(std::move(rec));
-    }
-    for (auto& part : out.partitions) {
-      sort_by_key(part);
-      if (spec.config.use_combiner && !part.empty()) {
-        auto combiner = spec.combiner();
-        part = reduce_sorted(*combiner, part);
-        sort_by_key(part);  // combiner may emit in any order
-      }
-      for (const KV& rec : part) {
-        ++out.profile.output_records;
-        out.profile.output_bytes += static_cast<double>(rec.bytes());
-      }
-    }
-    out.profile.cpu_seconds =
-        modeled_cpu(spec.config.cost, out.profile.input_records, out.profile.input_bytes,
-                    out.profile.output_records, out.profile.output_bytes, /*is_map=*/true);
-  });
-
-  // --- shuffle accounting --------------------------------------------------
-  JobResult result;
-  result.shuffle_matrix.assign(static_cast<std::size_t>(S),
-                               std::vector<double>(static_cast<std::size_t>(R), 0.0));
-  for (int m = 0; m < S; ++m) {
-    for (int r = 0; r < R; ++r) {
-      double bytes = 0.0;
-      for (const KV& rec : map_out[static_cast<std::size_t>(m)].partitions[static_cast<std::size_t>(r)]) {
-        bytes += static_cast<double>(rec.bytes());
-      }
-      result.shuffle_matrix[static_cast<std::size_t>(m)][static_cast<std::size_t>(r)] = bytes;
-      result.total_shuffle_bytes += bytes;
-    }
-  }
-
-  // --- reduce phase --------------------------------------------------------
-  std::vector<std::vector<KV>> reduce_out(static_cast<std::size_t>(R));
-  std::vector<TaskProfile> reduce_profiles(static_cast<std::size_t>(R));
-  parallel_for(static_cast<std::size_t>(R), threads_, [&](std::size_t r) {
-    // Merge the sorted segments from every map (Hadoop's merge phase);
-    // segments are already sorted so a stable sort of the concatenation is
-    // equivalent to the k-way merge.
-    std::vector<KV> merged;
-    TaskProfile& prof = reduce_profiles[r];
-    for (int m = 0; m < S; ++m) {
-      const auto& part = map_out[static_cast<std::size_t>(m)].partitions[r];
-      prof.input_records += static_cast<std::int64_t>(part.size());
-      for (const KV& rec : part) prof.input_bytes += static_cast<double>(rec.bytes());
-      merged.insert(merged.end(), part.begin(), part.end());
-    }
-    sort_by_key(merged);
-
-    auto reducer = spec.reducer();
-    reduce_out[r] = reduce_sorted(*reducer, merged);
-    for (const KV& rec : reduce_out[r]) {
-      ++prof.output_records;
-      prof.output_bytes += static_cast<double>(rec.bytes());
-    }
-    prof.cpu_seconds = modeled_cpu(spec.config.cost, prof.input_records, prof.input_bytes,
-                                   prof.output_records, prof.output_bytes, /*is_map=*/false);
-  });
-
-  // Mode-independent stats only: the reference path has no entry sorts,
-  // k-way merge, or arenas to count (DataPathStats doc in job.hpp).
-  for (const MapTaskOutput& m : map_out) {
-    result.map_profiles.push_back(m.profile);
-    result.stats.map_emit_records += m.emit_records;
-    result.stats.map_emit_bytes += m.emit_bytes;
-  }
-  for (const TaskProfile& prof : reduce_profiles) {
-    result.stats.shuffle_records += prof.input_records;
   }
   result.reduce_profiles = std::move(reduce_profiles);
   for (auto& part : reduce_out) {

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -50,22 +52,16 @@ struct RunnerTuning {
 /// bytes, modeled CPU cost) that the simulated virtual cluster replays for
 /// timing. Correctness is real; only wall-clock is modeled.
 ///
-/// Two execution paths produce byte-identical results (DESIGN.md §11):
-///  - optimized (default): arena-backed KVBatch records, index sorts with
-///    an 8-byte key-prefix fast path, a true k-way merge feeding reducers,
-///    shuffle bytes accounted during partitioning;
-///  - reference oracle (`VHADOOP_RUNNER_REFERENCE=1`, or `reference` on
-///    the second constructor): the original std::vector<KV> path —
-///    partition moves, stable_sort, concatenate-and-re-sort merge. The
-///    equivalence suite (tests/mapreduce/runner_equivalence_test.cpp) and
-///    bench/ml_scaling assert outputs, profiles and shuffle accounting
-///    match exactly.
+/// Records stay in arena-backed KVBatch chunks end to end: index sorts with
+/// an 8-byte key-prefix fast path, a true k-way merge feeding reducers, and
+/// shuffle bytes accounted during partitioning (DESIGN.md §11). The
+/// original std::vector<KV> implementation lives on as a test oracle
+/// (tests/testutil/reference_runner.hpp); the equivalence suite and
+/// bench/ml_scaling assert that outputs, profiles and shuffle accounting
+/// match it exactly.
 class LocalJobRunner {
  public:
-  /// Reference-oracle mode defaults to the VHADOOP_RUNNER_REFERENCE
-  /// environment switch (mirroring VHADOOP_FLUID_REFERENCE).
-  explicit LocalJobRunner(unsigned threads = 0);
-  LocalJobRunner(unsigned threads, bool reference, const RunnerTuning& tuning = {});
+  explicit LocalJobRunner(unsigned threads = 0, const RunnerTuning& tuning = {});
 
   /// Run `spec` over `input`, cut into `num_splits` contiguous splits
   /// (one map task per split — Hadoop's FileInputFormat over block-aligned
@@ -78,23 +74,26 @@ class LocalJobRunner {
   JobResult run(const JobSpec& spec, std::span<const KV> input, int num_splits) const;
 
   unsigned threads() const { return threads_; }
-  bool reference() const { return reference_; }
   const RunnerTuning& tuning() const { return tuning_; }
 
  private:
-  JobResult run_optimized(const JobSpec& spec, std::span<const KV> input, int num_splits) const;
-  JobResult run_reference(const JobSpec& spec, std::span<const KV> input, int num_splits) const;
-
   unsigned threads_;
-  bool reference_;
   RunnerTuning tuning_;
 };
 
-/// Group a key-sorted run of records and feed them to `reducer`. Exposed
-/// for reuse by the reference-path combiner stage and by tests.
-std::vector<KV> reduce_sorted(Reducer& reducer, std::span<const KV> sorted);
+/// Anything that runs a job the way LocalJobRunner::run does. Drivers that
+/// take one (ml::ClusteringConfig::run_job) let a caller substitute another
+/// executor, such as the test oracle, without an environment switch.
+using RunJob =
+    std::function<JobResult(const JobSpec& spec, std::span<const KV> input, int num_splits)>;
 
-/// Stable sort by key (ties keep input order, like Hadoop's stable merge).
-void sort_by_key(std::vector<KV>& records);
+/// Number of map tasks a run over `input_size` records uses: `num_splits`,
+/// or one per thread when it is <= 0, clamped to [1, max(1, input_size)].
+int clamp_splits(int num_splits, unsigned threads, std::size_t input_size);
+
+/// Modeled compute seconds of one task (CostModel): input drives the
+/// dominant term, emitted data costs the same rates again at half weight.
+double modeled_task_cpu(const CostModel& cost, std::int64_t in_records, double in_bytes,
+                        std::int64_t out_records, double out_bytes, bool is_map);
 
 }  // namespace vhadoop::mapreduce

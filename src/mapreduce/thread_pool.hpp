@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -22,7 +21,7 @@ inline unsigned default_threads() {
 }
 
 namespace detail {
-/// Depth of pool/parallel_for nesting on this thread. Nested parallel
+/// Depth of parallel_for nesting on this thread. Nested parallel
 /// sections execute inline on the calling worker: the split *structure* of
 /// parallel algorithms is always a pure function of the data (never of the
 /// thread count), so inlining changes scheduling only, not results.
@@ -36,47 +35,6 @@ struct ParallelDepthScope {
 };
 }  // namespace detail
 
-/// Run `fn(i)` for i in [0, n) on up to `threads` spawn-per-call workers.
-/// Blocks until all iterations finish. Iterations are claimed from an atomic
-/// counter, so the schedule is dynamic but each index executes exactly once;
-/// callers write only to per-index slots, which keeps the execution
-/// data-race-free (C++ Core Guidelines CP.2) without locks. A template over
-/// the callable — no std::function heap allocation or virtual dispatch per
-/// call. If an iteration throws, the remaining iterations are drained
-/// (skipped) and the first exception is rethrown on the caller.
-///
-/// Only the runner's reference oracle uses it; everything else runs on the
-/// shared WorkerPool below.
-template <typename Fn>
-void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
-  if (n == 0) return;
-  if (threads <= 1 || n == 1 || detail::parallel_depth > 0) {
-    const detail::ParallelDepthScope scope;
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(threads, n));
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      const detail::ParallelDepthScope scope;
-      try {
-        for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
-      } catch (...) {
-        const std::scoped_lock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        next.store(n);  // drain remaining iterations
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 /// Persistent, lazily-started worker pool. `WorkerPool::shared(threads)`
 /// hands out one pool per thread count that lives for the whole process:
 /// every LocalJobRunner and every ml::assign_nearest call at that count
@@ -86,11 +44,14 @@ void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
 /// Threads start on the first parallel batch that can actually use them
 /// (never for serial pools or single-iteration batches).
 ///
-/// parallel_for is a template over the callable: the callable stays on the
-/// caller's stack and is invoked through one function pointer — no
-/// std::function allocation per call. Exception semantics match the free
-/// function: a throwing iteration drains the remaining indices and the
-/// first exception is rethrown on the caller. Nested calls (from inside a
+/// parallel_for runs `fn(i)` for i in [0, n) and blocks until all finish.
+/// It is a template over the callable: the callable stays on the caller's
+/// stack and is invoked through one function pointer — no std::function
+/// allocation per call. Indices are claimed from an atomic counter, so each
+/// executes exactly once; callers write only to per-index slots, which
+/// keeps execution data-race-free (C++ Core Guidelines CP.2) without locks.
+/// A throwing iteration drains the remaining indices and the first
+/// exception is rethrown on the caller. Nested calls (from inside a
 /// worker) execute inline, so parallel algorithms may compose without
 /// deadlock; determinism is unaffected because split structure never
 /// depends on the execution schedule. Top-level callers on different

@@ -108,11 +108,11 @@ ClusteringRun canopy_cluster(const Dataset& data, const CanopyConfig& config) {
   spec.mapper = [&config] { return std::make_unique<CanopyMapper>(config.t1, config.t2); };
   spec.reducer = [&config] { return std::make_unique<CanopyReducer>(config.t1, config.t2); };
 
-  mapreduce::LocalJobRunner runner(config.base.threads);
+  const mapreduce::RunJob run_job = job_runner(config.base);
   const auto records = to_records(data);
   ClusteringRun run;
   run.algorithm = "canopy";
-  run.jobs.push_back(runner.run(spec, records, config.base.num_splits));
+  run.jobs.push_back(run_job(spec, records, config.base.num_splits));
   run.iterations = 1;
 
   for (const mapreduce::KV& kv : run.jobs[0].output) {

@@ -44,6 +44,13 @@ int nearest_center(std::span<const double> point, const CenterMatrix& centers) {
   return best;
 }
 
+mapreduce::RunJob job_runner(const ClusteringConfig& config) {
+  if (config.run_job) return config.run_job;
+  return [runner = mapreduce::LocalJobRunner(config.threads)](
+             const mapreduce::JobSpec& spec, std::span<const mapreduce::KV> input,
+             int num_splits) { return runner.run(spec, input, num_splits); };
+}
+
 std::vector<int> assign_nearest(const Dataset& data, const std::vector<Vec>& centers,
                                 unsigned threads) {
   const CenterMatrix flat(centers);

@@ -30,7 +30,15 @@ struct ClusteringConfig {
   int max_iterations = 10;
   double convergence_delta = 1e-3;  ///< max center movement to stop
   unsigned threads = 0;             ///< 0 = hardware concurrency
+  /// Runs every MapReduce job of the driver call; empty = one
+  /// LocalJobRunner(threads) per call. bench/ml_scaling passes the runner's
+  /// reference oracle here.
+  mapreduce::RunJob run_job;
 };
+
+/// The job runner one driver call uses: `config.run_job` when set, else a
+/// fresh LocalJobRunner(config.threads).
+mapreduce::RunJob job_runner(const ClusteringConfig& config);
 
 /// Sum of squared distances from each point to its nearest center — the
 /// objective k-means style algorithms must not increase (tests rely on it).

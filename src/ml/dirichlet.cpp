@@ -179,7 +179,7 @@ DirichletRun dirichlet_cluster(const Dataset& data, const DirichletConfig& confi
     models->push_back(std::move(m));
   }
 
-  mapreduce::LocalJobRunner runner(config.base.threads);
+  const mapreduce::RunJob run_job = job_runner(config.base);
   const auto records = to_records(data);
 
   DirichletRun run;
@@ -196,7 +196,7 @@ DirichletRun dirichlet_cluster(const Dataset& data, const DirichletConfig& confi
     spec.mapper = [snapshot, iter] { return std::make_unique<DirichletMapper>(snapshot, iter); };
     spec.reducer = [] { return std::make_unique<DirichletReducer>(); };
 
-    auto result = runner.run(spec, records, config.base.num_splits);
+    auto result = run_job(spec, records, config.base.num_splits);
     ++run.iterations;
 
     auto next = std::make_shared<std::vector<DirichletModel>>(*models);

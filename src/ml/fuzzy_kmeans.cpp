@@ -135,7 +135,7 @@ ClusteringRun fuzzy_kmeans_cluster(const Dataset& data, const FuzzyKMeansConfig&
   auto centers = std::make_shared<std::vector<Vec>>(
       initial_centers.empty() ? seed_centers(data, config.k) : std::move(initial_centers));
 
-  mapreduce::LocalJobRunner runner(config.base.threads);
+  const mapreduce::RunJob run_job = job_runner(config.base);
   const auto records = to_records(data);
 
   ClusteringRun run;
@@ -153,7 +153,7 @@ ClusteringRun fuzzy_kmeans_cluster(const Dataset& data, const FuzzyKMeansConfig&
     spec.mapper = [snapshot, m] { return std::make_unique<FuzzyMapper>(snapshot, m); };
     spec.reducer = [] { return std::make_unique<FuzzyReducer>(); };
 
-    auto result = runner.run(spec, records, config.base.num_splits);
+    auto result = run_job(spec, records, config.base.num_splits);
     ++run.iterations;
 
     std::vector<Vec> next = *centers;

@@ -108,7 +108,7 @@ ClusteringRun kmeans_cluster(const Dataset& data, const KMeansConfig& config,
   auto centers = std::make_shared<std::vector<Vec>>(
       initial_centers.empty() ? seed_centers(data, config.k) : std::move(initial_centers));
 
-  mapreduce::LocalJobRunner runner(config.base.threads);
+  const mapreduce::RunJob run_job = job_runner(config.base);
   const auto records = to_records(data);
 
   ClusteringRun run;
@@ -126,7 +126,7 @@ ClusteringRun kmeans_cluster(const Dataset& data, const KMeansConfig& config,
     spec.mapper = [snapshot] { return std::make_unique<KMeansMapper>(snapshot); };
     spec.reducer = [] { return std::make_unique<KMeansReducer>(); };
 
-    auto result = runner.run(spec, records, config.base.num_splits);
+    auto result = run_job(spec, records, config.base.num_splits);
     ++run.iterations;
 
     std::vector<Vec> next = *centers;  // empty clusters keep their center

@@ -152,7 +152,7 @@ ClusteringRun meanshift_cluster(const Dataset& data, const MeanShiftConfig& conf
                      encode_canopy(1.0, data.points[i])});
   }
 
-  mapreduce::LocalJobRunner runner(config.base.threads);
+  const mapreduce::RunJob run_job = job_runner(config.base);
   ClusteringRun run;
   run.algorithm = "meanshift";
   std::vector<Vec> prev_centers;
@@ -167,7 +167,7 @@ ClusteringRun meanshift_cluster(const Dataset& data, const MeanShiftConfig& conf
     spec.mapper = [t1, t2] { return std::make_unique<MeanShiftMapper>(t1, t2); };
     spec.reducer = [t1, t2] { return std::make_unique<MeanShiftReducer>(t1, t2); };
 
-    auto result = runner.run(spec, state, config.base.num_splits);
+    auto result = run_job(spec, state, config.base.num_splits);
     ++run.iterations;
 
     std::vector<Vec> centers;

@@ -98,12 +98,12 @@ MinHashRun minhash_cluster(const Dataset& data, const MinHashConfig& config) {
   const int min_size = config.min_cluster_size;
   spec.reducer = [min_size] { return std::make_unique<MinHashReducer>(min_size); };
 
-  mapreduce::LocalJobRunner runner(config.base.threads);
+  const mapreduce::RunJob run_job = job_runner(config.base);
   const auto records = to_records(data);
 
   MinHashRun run;
   run.algorithm = "minhash";
-  run.jobs.push_back(runner.run(spec, records, config.base.num_splits));
+  run.jobs.push_back(run_job(spec, records, config.base.num_splits));
   run.iterations = 1;
 
   // Keys are hash-partitioned and sorted within each partition, so every

@@ -1,8 +1,8 @@
 // Unit tests for the deterministic intra-task parallel runtime (DESIGN.md
-// §15): the free template parallel_for, the persistent WorkerPool and its
-// process-wide instances, the RunnerTuning validation, and the run-split
-// parallel sort / prefix-range parallel merge whose comparison counts must
-// be bit-identical across thread counts.
+// §15): the persistent WorkerPool and its process-wide instances, the
+// RunnerTuning validation, and the run-split parallel sort / prefix-range
+// parallel merge whose comparison counts must be bit-identical across
+// thread counts; plus the reference oracle's spawn-per-call parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,8 +19,10 @@
 #include "mapreduce/local_runner.hpp"
 #include "mapreduce/parallel_sort.hpp"
 #include "mapreduce/thread_pool.hpp"
+#include "testutil/reference_runner.hpp"
 
 namespace mr = vhadoop::mapreduce;
+namespace tu = vhadoop::testutil;
 
 namespace {
 
@@ -63,12 +65,12 @@ void expect_same_entries(const std::vector<mr::KVBatch::Entry>& a,
   }
 }
 
-// --- free parallel_for (template callable, exception drain) ------------------
+// --- oracle parallel_for (template callable, exception drain) ----------------
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 997;
   std::vector<std::atomic<int>> hits(kN);
-  mr::parallel_for(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
+  tu::parallel_for(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
@@ -76,7 +78,7 @@ TEST(ParallelFor, AcceptsNonCopyableCallableState) {
   // A template over the callable: mutable capture-by-reference of move-only
   // state compiles and runs without std::function wrapping.
   auto counter = std::make_unique<std::atomic<std::size_t>>(0);
-  mr::parallel_for(100, 3, [&counter](std::size_t) { counter->fetch_add(1); });
+  tu::parallel_for(100, 3, [&counter](std::size_t) { counter->fetch_add(1); });
   EXPECT_EQ(counter->load(), 100u);
 }
 
@@ -85,7 +87,7 @@ TEST(ParallelFor, ThrowingIterationDrainsAndRethrows) {
   std::atomic<std::size_t> executed{0};
   std::vector<std::atomic<int>> hits(kN);
   try {
-    mr::parallel_for(kN, 4, [&](std::size_t i) {
+    tu::parallel_for(kN, 4, [&](std::size_t i) {
       if (i == 17) throw std::runtime_error("boom");
       hits[i].fetch_add(1);
       executed.fetch_add(1);
@@ -101,7 +103,7 @@ TEST(ParallelFor, ThrowingIterationDrainsAndRethrows) {
 
 TEST(ParallelFor, SerialWhenSingleThreaded) {
   std::vector<std::size_t> order;
-  mr::parallel_for(5, 1, [&](std::size_t i) { order.push_back(i); });
+  tu::parallel_for(5, 1, [&](std::size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 

@@ -1,7 +1,8 @@
 // Equivalence suite for the arena-backed data path (DESIGN.md §11): the
 // optimized LocalJobRunner must produce byte-identical job results to the
-// VHADOOP_RUNNER_REFERENCE oracle — outputs, task profiles, shuffle
-// accounting — across seeds, split counts, combiners, and adversarial keys.
+// reference oracle (testutil/reference_runner.hpp) — outputs, task profiles,
+// shuffle accounting — across seeds, split counts, combiners, and
+// adversarial keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +16,10 @@
 
 #include "mapreduce/kv_batch.hpp"
 #include "mapreduce/local_runner.hpp"
+#include "testutil/reference_runner.hpp"
 
 namespace mr = vhadoop::mapreduce;
+using vhadoop::testutil::ReferenceRunner;
 
 namespace {
 
@@ -334,8 +337,8 @@ class RunnerEquivalence : public ::testing::TestWithParam<SweepCase> {};
 TEST_P(RunnerEquivalence, ByteIdenticalAcrossModes) {
   const SweepCase c = GetParam();
   const auto records = random_records(c.seed, c.records);
-  const mr::LocalJobRunner optimized(4, /*reference=*/false);
-  const mr::LocalJobRunner reference(4, /*reference=*/true);
+  const mr::LocalJobRunner optimized(4);
+  const ReferenceRunner reference(4);
   const auto spec = echo_spec(c.reduces, c.combiner);
   const auto opt = optimized.run(spec, records, c.splits);
   const auto ref = reference.run(spec, records, c.splits);
@@ -363,8 +366,8 @@ INSTANTIATE_TEST_SUITE_P(
 // --- edge cases, asserted identical across modes (satellite) -----------------
 
 TEST(RunnerEdgeCases, EmptyInputIsIdenticalAcrossModes) {
-  const mr::LocalJobRunner optimized(4, false);
-  const mr::LocalJobRunner reference(4, true);
+  const mr::LocalJobRunner optimized(4);
+  const ReferenceRunner reference(4);
   const auto spec = echo_spec(2, false);
   const std::vector<mr::KV> empty;
   const auto opt = optimized.run(spec, empty, 4);
@@ -376,8 +379,8 @@ TEST(RunnerEdgeCases, EmptyInputIsIdenticalAcrossModes) {
 
 TEST(RunnerEdgeCases, MoreSplitsThanRecordsIsIdenticalAcrossModes) {
   const auto records = random_records(11, 3);
-  const mr::LocalJobRunner optimized(4, false);
-  const mr::LocalJobRunner reference(4, true);
+  const mr::LocalJobRunner optimized(4);
+  const ReferenceRunner reference(4);
   const auto spec = echo_spec(2, false);
   const auto opt = optimized.run(spec, records, 64);
   const auto ref = reference.run(spec, records, 64);
@@ -387,8 +390,8 @@ TEST(RunnerEdgeCases, MoreSplitsThanRecordsIsIdenticalAcrossModes) {
 
 TEST(RunnerEdgeCases, OutOfOrderCombinerIsIdenticalAcrossModes) {
   const auto records = random_records(12, 120);
-  const mr::LocalJobRunner optimized(4, false);
-  const mr::LocalJobRunner reference(4, true);
+  const mr::LocalJobRunner optimized(4);
+  const ReferenceRunner reference(4);
   const auto spec = echo_spec(3, true);  // ReverseCombiner emits descending
   expect_results_equal(optimized.run(spec, records, 5), reference.run(spec, records, 5));
 }
@@ -397,25 +400,17 @@ TEST(RunnerEdgeCases, OutOfRangePartitionerThrowsInBothModes) {
   const auto records = random_records(13, 10);
   auto spec = echo_spec(2, false);
   spec.partitioner = [](std::string_view, int) { return 7; };  // >= num_reduces
-  const mr::LocalJobRunner optimized(1, false);
-  const mr::LocalJobRunner reference(1, true);
+  const mr::LocalJobRunner optimized(1);
+  const ReferenceRunner reference(1);
   EXPECT_THROW(optimized.run(spec, records, 2), std::out_of_range);
   EXPECT_THROW(reference.run(spec, records, 2), std::out_of_range);
 }
 
-TEST(RunnerEdgeCases, ReferenceFlagComesFromConstructor) {
-  const mr::LocalJobRunner by_flag(2, true);
-  EXPECT_TRUE(by_flag.reference());
-  const mr::LocalJobRunner opt(2, false);
-  EXPECT_FALSE(opt.reference());
-}
-
 TEST(RunnerEdgeCases, TuningComesFromConstructor) {
   const mr::RunnerTuning t(7, 11);
-  const mr::LocalJobRunner runner(2, false, t);
+  const mr::LocalJobRunner runner(2, t);
   EXPECT_EQ(runner.tuning().sort_parallel_threshold, 7);
   EXPECT_EQ(runner.tuning().merge_range_split_min, 11);
-  EXPECT_FALSE(runner.reference());
 }
 
 // --- thread-count sweep (DESIGN.md §15) --------------------------------------
@@ -433,12 +428,12 @@ mr::RunnerTuning forced_full_tuning() { return {64, 64}; }
 void run_thread_sweep(const std::vector<mr::KV>& records, int splits, int reduces, bool combiner,
                       const std::vector<mr::RunnerTuning>& tunings) {
   const auto spec = echo_spec(reduces, combiner);
-  const mr::LocalJobRunner reference(4, /*reference=*/true);
+  const ReferenceRunner reference(4);
   const auto ref = reference.run(spec, records, splits);
   for (std::size_t t = 0; t < tunings.size(); ++t) {
     std::optional<mr::JobResult> first;
     for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-      const mr::LocalJobRunner runner(threads, false, tunings[t]);
+      const mr::LocalJobRunner runner(threads, tunings[t]);
       const auto got = runner.run(spec, records, splits);
       expect_results_equal(got, ref);
       if (!first) {
@@ -513,7 +508,7 @@ TEST(SharedPool, ConcurrentJobsMatchSerialRuns) {
   const auto records_b = random_records(42, 1500);
   const auto spec_a = echo_spec(3, /*combiner=*/true);
   const auto spec_b = echo_spec(4, /*combiner=*/false);
-  const mr::LocalJobRunner serial(1, false, forced_full_tuning());
+  const mr::LocalJobRunner serial(1, forced_full_tuning());
   const auto want_a = serial.run(spec_a, records_a, 6);
   const auto want_b = serial.run(spec_b, records_b, 5);
 
@@ -522,7 +517,7 @@ TEST(SharedPool, ConcurrentJobsMatchSerialRuns) {
   auto run_many = [](const mr::JobSpec& spec, const std::vector<mr::KV>& records, int splits,
                      std::vector<mr::JobResult>& out) {
     for (int k = 0; k < kRuns; ++k) {
-      const mr::LocalJobRunner runner(0, false, forced_full_tuning());
+      const mr::LocalJobRunner runner(0, forced_full_tuning());
       out.push_back(runner.run(spec, records, splits));
     }
   };

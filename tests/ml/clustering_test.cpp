@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "ml/canopy.hpp"
 #include "ml/dirichlet.hpp"
@@ -383,6 +386,35 @@ TEST(ClusteringRun, JobsCarryProfilesForSimulation) {
     for (const auto& p : job.map_profiles) records += p.input_records;
     EXPECT_EQ(records, static_cast<std::int64_t>(data.size()));
     for (const auto& p : job.map_profiles) EXPECT_GT(p.cpu_seconds, 0.0);
+  }
+}
+
+TEST(ClusteringRun, EveryDriverRunsItsJobsThroughRunJob) {
+  // bench/ml_scaling hands the runner's reference oracle to each driver
+  // through ClusteringConfig::run_job; a driver that built its own runner
+  // instead would compare the optimized path with itself.
+  const auto data = tight_blobs();
+  const mapreduce::LocalJobRunner runner(2);
+  std::size_t calls = 0;
+  ClusteringConfig base{.num_splits = 2, .max_iterations = 3};
+  base.run_job = [&](const mapreduce::JobSpec& spec, std::span<const mapreduce::KV> input,
+                     int num_splits) {
+    ++calls;
+    return runner.run(spec, input, num_splits);
+  };
+  const std::vector<std::function<ClusteringRun()>> drivers = {
+      [&] { return canopy_cluster(data, {.base = base}); },
+      [&] { return kmeans_cluster(data, {.k = 3, .base = base}); },
+      [&] { return fuzzy_kmeans_cluster(data, {.k = 3, .base = base}); },
+      [&] { return meanshift_cluster(data, {.base = base}); },
+      [&] { return dirichlet_cluster(data, {.k = 3, .base = base}); },
+      [&] { return minhash_cluster(data, {.base = base}); },
+  };
+  for (const auto& driver : drivers) {
+    calls = 0;
+    const ClusteringRun run = driver();
+    EXPECT_GT(calls, 0u) << run.algorithm;
+    EXPECT_EQ(calls, run.jobs.size()) << run.algorithm;
   }
 }
 
