@@ -2,10 +2,14 @@
 
 // Shared helpers for the figure/table reproduction harnesses.
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/platform.hpp"
@@ -182,6 +186,34 @@ inline core::ClusterSpec paper_cluster(core::Placement placement) {
   spec.num_workers = 15;
   spec.placement = placement;
   return spec;
+}
+
+/// Whole-string parse of a number >= `min` for a command-line flag: "12x",
+/// "", a sign on an unsigned type and out-of-range values all fail.
+template <typename T>
+bool parse_at_least(std::string_view text, T min, T& out) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || ptr != last || value < min) return false;
+  out = value;
+  return true;
+}
+
+/// Comma-separated list of parse_at_least values; an empty entry fails.
+template <typename T>
+bool parse_list_at_least(std::string_view text, T min, std::vector<T>& out) {
+  std::vector<T> values;
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = std::min(text.find(',', pos), text.size());
+    T value{};
+    if (!parse_at_least(text.substr(pos, comma - pos), min, value)) return false;
+    values.push_back(value);
+    if (comma == text.size()) break;
+    pos = comma + 1;
+  }
+  out = std::move(values);
+  return true;
 }
 
 }  // namespace vhadoop::bench

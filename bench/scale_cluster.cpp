@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -121,18 +120,6 @@ ScaleResult run_scale(int vms, bool reference, net::TopologyKind topology,
   return r;
 }
 
-std::vector<int> parse_sizes(const std::string& arg) {
-  std::vector<int> sizes;
-  std::size_t pos = 0;
-  while (pos < arg.size()) {
-    std::size_t comma = arg.find(',', pos);
-    if (comma == std::string::npos) comma = arg.size();
-    sizes.push_back(std::atoi(arg.substr(pos, comma - pos).c_str()));
-    pos = comma + 1;
-  }
-  return sizes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -141,34 +128,43 @@ int main(int argc, char** argv) {
   int hosts_per_rack = 2;
   int verify_every = 1;
   net::TopologyKind topology = net::TopologyKind::SingleSwitch;
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--vms=16,64,...] [--reference-max=N] "
+                 "[--topology=single-switch|fat-tree|rotor] [--hosts-per-rack=N] "
+                 "[--verify-every=N]\n",
+                 argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--vms=", 6) == 0) {
-      sizes = parse_sizes(argv[i] + 6);
-    } else if (std::strncmp(argv[i], "--reference-max=", 16) == 0) {
-      reference_max = std::atoi(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--topology=", 11) == 0) {
-      const auto kind = net::topology_kind_from_string(argv[i] + 11);
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    if (eq == std::string::npos) return usage();
+    const std::string name = arg.substr(0, eq), value = arg.substr(eq + 1);
+    const char* need = nullptr;  // set when a numeric value is malformed
+    if (name == "--vms") {
+      if (!bench::parse_list_at_least(value, 2, sizes)) need = "comma-separated numbers >= 2";
+    } else if (name == "--reference-max") {
+      if (!bench::parse_at_least(value, 0, reference_max)) need = "a number >= 0";
+    } else if (name == "--topology") {
+      const auto kind = net::topology_kind_from_string(value);
       if (!kind) {
         std::fprintf(stderr, "unknown topology '%s' (single-switch|fat-tree|rotor)\n",
-                     argv[i] + 11);
+                     value.c_str());
         return 2;
       }
       topology = *kind;
-    } else if (std::strncmp(argv[i], "--hosts-per-rack=", 17) == 0) {
-      hosts_per_rack = std::atoi(argv[i] + 17);
-      if (hosts_per_rack < 1) {
-        std::fprintf(stderr, "--hosts-per-rack must be >= 1\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--verify-every=", 15) == 0) {
-      verify_every = std::atoi(argv[i] + 15);
+    } else if (name == "--hosts-per-rack") {
+      if (!bench::parse_at_least(value, 1, hosts_per_rack)) need = "a number >= 1";
+    } else if (name == "--verify-every") {
+      if (!bench::parse_at_least(value, 1, verify_every)) need = "a number >= 1";
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--vms=16,64,...] [--reference-max=N] "
-                   "[--topology=single-switch|fat-tree|rotor] [--hosts-per-rack=N] "
-                   "[--verify-every=N]\n",
-                   argv[0]);
-      return 2;
+      return usage();
+    }
+    if (need != nullptr) {
+      std::fprintf(stderr, "scale_cluster: %s needs %s, got '%s'\n", name.c_str(), need,
+                   value.c_str());
+      return usage();
     }
   }
   if (verify_every > 1) {
