@@ -133,7 +133,9 @@ class KVBatch {
   static std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
   char* allocate(std::size_t need) {
-    if (used_ + need > cap_) {
+    // An empty first record (need == 0) still opens a chunk, so `data`
+    // always points into the arena and chunks_.back() below is never empty.
+    if (chunks_.empty() || used_ + need > cap_) {
       std::size_t sz = next_chunk_bytes_;
       if (sz < need) sz = need;  // oversized record gets its own chunk
       // for_overwrite: arena bytes are always written before they are read

@@ -388,6 +388,18 @@ TEST(RunnerEdgeCases, MoreSplitsThanRecordsIsIdenticalAcrossModes) {
   EXPECT_EQ(opt.map_profiles.size(), 3u);  // clamped to one split per record
 }
 
+TEST(RunnerEdgeCases, EmptyFirstRecordIsIdenticalAcrossModes) {
+  // An empty key with an empty value needs no arena bytes; as a batch's
+  // first push it must not touch the (still empty) chunk list.
+  const std::vector<mr::KV> records{{"", ""}, {"a", ""}, {"", "x"}, {"", ""}};
+  const mr::LocalJobRunner optimized(2);
+  const ReferenceRunner reference(2);
+  for (const bool combiner : {false, true}) {
+    const auto spec = echo_spec(2, combiner);
+    expect_results_equal(optimized.run(spec, records, 2), reference.run(spec, records, 2));
+  }
+}
+
 TEST(RunnerEdgeCases, OutOfOrderCombinerIsIdenticalAcrossModes) {
   const auto records = random_records(12, 120);
   const mr::LocalJobRunner optimized(4);
