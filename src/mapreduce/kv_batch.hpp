@@ -14,7 +14,7 @@ namespace vhadoop::mapreduce {
 /// Arena-backed flat record batch — the zero-copy spine of the optimized
 /// LocalJobRunner data path. All key/value bytes live in a small number of
 /// contiguous chunks (never reallocated, so views stay valid for the life
-/// of the batch); records are 16-byte-ish POD entries that can be
+/// of the batch); records are 24-byte POD entries that can be
 /// partitioned, sorted and merged without touching the payload. Value
 /// payloads are 8-byte aligned inside the arena so packed-double values can
 /// be read in place via `decode_vec_view` (kv.hpp).
@@ -29,7 +29,8 @@ class KVBatch {
   /// never part of the record's logical bytes). `prefix` holds the first
   /// min(8, key_len) key bytes big-endian, zero-padded: whenever two
   /// prefixes differ, their numeric order equals the keys' lexicographic
-  /// order, so most comparisons are one 64-bit compare.
+  /// order, and on a tie `key_len` decides unless both keys are longer
+  /// than 8 bytes, so the entry alone orders all keys of at most 8 bytes.
   struct Entry {
     const char* data = nullptr;
     std::uint32_t key_len = 0;
@@ -165,15 +166,19 @@ class KVBatch {
   std::size_t total_bytes_ = 0;
 };
 
-/// Three-way entry comparison by key: one 64-bit prefix compare resolves
-/// everything except keys sharing their first 8 bytes, which fall back to a
-/// full lexicographic compare (the zero-padded prefix makes the fast path
-/// order-consistent: equal prefixes are exactly the "might still differ"
-/// case).
+/// Three-way entry comparison by key, the one key-order and key-equality
+/// rule of the data path (spill sort, combiner re-sort, reduce merge and
+/// grouping). Differing prefixes decide by one 64-bit compare. On a prefix
+/// tie where either key is at most 8 bytes, that key lies wholly in its
+/// prefix and so is a prefix of the other key: the shorter key sorts first
+/// and equal lengths mean equal keys. Only two keys longer than 8 bytes
+/// read the arena, and then only from byte 8 on.
 inline int compare_entries(const KVBatch::Entry& a, const KVBatch::Entry& b) {
   if (a.prefix != b.prefix) return a.prefix < b.prefix ? -1 : 1;
-  const std::string_view ka = a.key(), kb = b.key();
-  const int c = ka.compare(kb);
+  if (a.key_len <= 8 || b.key_len <= 8) {
+    return a.key_len == b.key_len ? 0 : (a.key_len < b.key_len ? -1 : 1);
+  }
+  const int c = a.key().substr(8).compare(b.key().substr(8));
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
@@ -181,9 +186,8 @@ inline int compare_entries(const KVBatch::Entry& a, const KVBatch::Entry& b) {
 /// [left+n1, left+n1+n2) into `out`, with a branchless inner loop: the
 /// winner of each comparison is selected by address arithmetic (compiles to
 /// a conditional move), so the data-dependent compare never becomes an
-/// unpredictable branch — on random keys that misprediction, not memory
-/// traffic, dominates the sort. Taking the left side on ties preserves
-/// stability, and the comparison count stays a pure function of the input.
+/// unpredictable branch. Taking the left side on ties preserves stability,
+/// and the comparison count stays a pure function of the input.
 inline std::int64_t merge_adjacent_runs(const KVBatch::Entry* left, std::size_t n1,
                                         std::size_t n2, KVBatch::Entry* out) {
   const KVBatch::Entry* right = left + n1;

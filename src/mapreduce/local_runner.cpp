@@ -32,8 +32,8 @@ int clamp_splits(int num_splits, unsigned threads, std::size_t input_size) {
 namespace {
 
 /// Group a key-sorted entry run (equal keys are adjacent) and feed each
-/// group to `reducer`, collecting output in `ctx`. The equality test uses
-/// the 8-byte prefix as a cheap pre-filter before the full key compare.
+/// group to `reducer`, collecting output in `ctx`. Key equality is
+/// compare_entries == 0, the same rule that sorted the run.
 void reduce_entries_into(Reducer& reducer, std::span<const KVBatch::Entry> sorted, Context& ctx) {
   reducer.setup(ctx);
   std::size_t i = 0;
@@ -43,7 +43,7 @@ void reduce_entries_into(Reducer& reducer, std::span<const KVBatch::Entry> sorte
     const std::string_view key = first.key();
     std::size_t j = i;
     values.clear();
-    while (j < sorted.size() && sorted[j].prefix == first.prefix && sorted[j].key() == key) {
+    while (j < sorted.size() && compare_entries(sorted[j], first) == 0) {
       values.push_back(sorted[j].value());
       ++j;
     }

@@ -34,20 +34,29 @@ std::uint64_t splitmix(std::uint64_t& state) {
 }
 
 /// Key pool exercising every compare path: empty key, short keys, embedded
-/// NULs, keys equal through their 8-byte prefix, and binary bytes.
+/// NULs, keys equal through their 8-byte prefix, and binary bytes. The
+/// zero-padded prefix ties whenever one key is the other plus NULs, so the
+/// pool holds such pairs at and around the 8-byte boundary, where
+/// compare_entries decides by length or reads the tail from byte 8 on.
 std::vector<std::string> tricky_keys() {
   return {
       "",
+      std::string("\0", 1),
       "a",
       std::string("a\0", 2),
       std::string("a\0b", 3),
       "aaaaaaaa",
+      std::string("aaaaaaaa\0", 9),
       "aaaaaaaab",
       "aaaaaaaac",
       "aaaaaaa",
+      std::string(8, '\xff'),
+      std::string(8, '\xff') + '\x01',
       std::string("\xff\x00\x7f", 3),
       "zebra",
       "zebr",
+      "0123456789abcdef",
+      "0123456789abcdeg",
       "prefix-shared-long-key-1",
       "prefix-shared-long-key-2",
   };
@@ -199,6 +208,20 @@ TEST(KVBatch, KeyPrefixOrderMatchesLexicographic) {
         // Differing prefixes must agree with full lexicographic order.
         EXPECT_EQ(pa < pb, a < b) << '"' << a << "\" vs \"" << b << '"';
       }
+    }
+  }
+}
+
+TEST(KVBatch, CompareEntriesMatchesLexicographic) {
+  const auto keys = tricky_keys();
+  mr::KVBatch batch;
+  for (const auto& k : keys) batch.push(k, "");
+  const auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+      const std::string_view a = keys[i], b = keys[j];
+      EXPECT_EQ(sign(mr::compare_entries(batch.entry(i), batch.entry(j))), sign(a.compare(b)))
+          << "keys " << i << " vs " << j;
     }
   }
 }
