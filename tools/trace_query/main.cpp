@@ -8,11 +8,13 @@
 //                         edges, proper lane nesting); exit 1 on problems
 //   --critical-path[=J]   per-job critical path as vhadoop-critpath-v1 JSON
 //                         (J = job id or name; omitted/all = every job)
-//   --slowest-tasks=N     the N longest task attempts
+//   --slowest-tasks=N     the N longest task attempts (N a whole non-negative
+//                         number; anything else exits 2 before the file is read)
 //   --attribution         per-job makespan attribution table
 //
 // Flags run in the order listed above; with no flags, --validate runs.
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -51,8 +53,14 @@ int main(int argc, char** argv) {
         critpath_job = arg.substr(std::strlen("--critical-path="));
       }
     } else if (arg.rfind("--slowest-tasks=", 0) == 0) {
-      slowest_n = std::strtol(arg.c_str() + std::strlen("--slowest-tasks="), nullptr, 10);
-      if (slowest_n < 0) return usage();
+      const std::string text = arg.substr(std::strlen("--slowest-tasks="));
+      const char* last = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), last, slowest_n);
+      if (ec != std::errc{} || ptr != last || slowest_n < 0) {
+        std::fprintf(stderr, "trace_query: --slowest-tasks needs a non-negative number, got '%s'\n",
+                     text.c_str());
+        return usage();
+      }
     } else if (arg == "--attribution") {
       do_attribution = true;
     } else if (!arg.empty() && arg[0] == '-') {
