@@ -9,9 +9,11 @@
 // both placements — three runs averaged, as the paper prescribes.
 //
 //   ./examples/cross_domain_study [corpus_mb]
+//
+// corpus_mb must be a positive, finite number; anything else (or a second
+// argument) prints the usage line and exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "mapreduce/local_runner.hpp"
 #include "workloads/text_corpus.hpp"
 #include "workloads/wordcount.hpp"
+#include "parse_positive.hpp"
 
 using namespace vhadoop;
 
@@ -78,7 +81,11 @@ CaseResult run_case(core::Placement placement, const Scenario& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double corpus_mb = argc > 1 ? std::atof(argv[1]) : 192.0;
+  double corpus_mb = 192.0;
+  if (argc > 2 || (argc == 2 && !examples::parse_positive(argv[1], corpus_mb))) {
+    std::fprintf(stderr, "usage: cross_domain_study [corpus_mb]  (corpus_mb: a positive number)\n");
+    return 2;
+  }
 
   std::printf("== cross-domain placement study: Wordcount %.0f MB, 16-node cluster ==\n\n",
               corpus_mb);

@@ -7,19 +7,26 @@
 // monitor's verdict.
 //
 //   ./examples/quickstart [corpus_mb]
+//
+// corpus_mb must be a positive, finite number; anything else (or a second
+// argument) prints the usage line and exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/platform.hpp"
 #include "mapreduce/local_runner.hpp"
 #include "workloads/text_corpus.hpp"
 #include "workloads/wordcount.hpp"
+#include "parse_positive.hpp"
 
 using namespace vhadoop;
 
 int main(int argc, char** argv) {
-  const double corpus_mb = argc > 1 ? std::atof(argv[1]) : 16.0;
+  double corpus_mb = 16.0;
+  if (argc > 2 || (argc == 2 && !examples::parse_positive(argv[1], corpus_mb))) {
+    std::fprintf(stderr, "usage: quickstart [corpus_mb]  (corpus_mb: a positive number)\n");
+    return 2;
+  }
 
   std::printf("== vHadoop quickstart ==\n");
   std::printf("corpus: %.0f MB of Zipf text\n\n", corpus_mb);

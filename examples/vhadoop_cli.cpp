@@ -46,7 +46,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -54,7 +53,6 @@
 #include <sstream>
 #include <string>
 #include <system_error>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -69,8 +67,10 @@
 #include "workloads/trace.hpp"
 #include "workloads/trace_replay.hpp"
 #include "workloads/wordcount.hpp"
+#include "parse_positive.hpp"
 
 using namespace vhadoop;
+using examples::parse_positive;
 
 namespace {
 
@@ -102,21 +102,6 @@ int usage() {
                "[--metrics-out=FILE] [--trace-out=FILE] [--spans-out=FILE] "
                "[--timeseries-out=FILE]\n");
   return 2;
-}
-
-/// Whole-string parse of a positive, finite number ("12x", "0", "-5" and
-/// "inf" all fail).
-template <typename T>
-bool parse_positive(const std::string& text, T& out) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || !(value > 0)) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return false;
-  }
-  out = value;
-  return true;
 }
 
 /// Whole-string parse of an unsigned number ("12x", "-1" and "" fail).
