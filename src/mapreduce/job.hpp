@@ -148,7 +148,10 @@ struct DataPathStats {
   std::int64_t map_emit_records = 0;   ///< records emitted by all mappers
   std::int64_t map_emit_bytes = 0;     ///< logical bytes emitted by all mappers
   std::int64_t shuffle_records = 0;    ///< records crossing map->reduce (post-combine)
-  std::int64_t sort_comparisons = 0;   ///< map-side spill sorts (incl. combiner re-sorts)
+  /// Key comparisons (compare_entries calls) of the map-side spill sorts,
+  /// combiner re-sorts included. The radix split's counting passes compare
+  /// no keys and are not counted.
+  std::int64_t sort_comparisons = 0;
   std::int64_t merge_comparisons = 0;  ///< reduce-side k-way merge
   std::int64_t arena_chunks = 0;       ///< map-side KVBatch chunks (spill + combiner arenas)
 };

@@ -7,6 +7,7 @@
 #include <span>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace vhadoop::mapreduce {
@@ -205,19 +206,23 @@ inline std::int64_t merge_adjacent_runs(const KVBatch::Entry* left, std::size_t 
   return comparisons;
 }
 
-/// Stable sort of the range [a, a+n) by key (ties keep input order, like
-/// Hadoop's stable spill sort), using caller-provided scratch of at least n
-/// entries; the result always lands back in `a`. Bottom-up merge sort over
-/// insertion-sorted base runs rather than std::stable_sort so the returned
-/// key-comparison count is a deterministic function of the input on every
-/// platform/stdlib — bench/ml_scaling gates on it. The 16-entry
-/// insertion-sorted base runs save the four densest merge passes (the bulk
-/// of the 24-byte entry copies) without giving up determinism.
-/// Insertion-sorted base-run length of sort_entries_range: ranges at or
-/// under this size never touch scratch.
+/// Insertion-sorted base-run length of the merge sort inside
+/// sort_entries_range: ranges at or under this size never touch scratch.
 inline constexpr std::size_t kSortBaseRun = 16;
 
-inline std::int64_t sort_entries_range(KVBatch::Entry* a, std::size_t n,
+/// Ranges of more entries than this are radix-split on their first four
+/// key bytes before any key is compared (sort_entries_range). Below it the
+/// counting passes cost more than the comparisons they save
+/// (bench/micro_engine BM_SortEntries puts the crossover at 128-256).
+inline constexpr std::size_t kSortRadixCutoff = 256;
+
+namespace detail {
+
+/// Bottom-up merge sort of [a, a+n) over 16-entry insertion-sorted base
+/// runs (they save the four densest merge passes, the bulk of the 24-byte
+/// entry copies); scratch holds at least n entries once n > kSortBaseRun.
+/// Returns the key comparisons it made.
+inline std::int64_t merge_sort_entries(KVBatch::Entry* a, std::size_t n,
                                        KVBatch::Entry* scratch) {
   constexpr std::size_t kBaseRun = kSortBaseRun;
   if (n < 2) return 0;
@@ -256,8 +261,59 @@ inline std::int64_t sort_entries_range(KVBatch::Entry* a, std::size_t n,
   return comparisons;
 }
 
+}  // namespace detail
+
+/// Stable sort of the range [a, a+n) by key (ties keep input order, like
+/// Hadoop's stable spill sort), using caller-provided scratch of at least n
+/// entries once n > kSortBaseRun; the result always lands back in `a`.
+///
+/// A range above kSortRadixCutoff is first radix-split: a stable LSD
+/// counting sort on the top 32 bits of `Entry::prefix`, which hold the
+/// key's first four bytes zero-padded, so their numeric order agrees with
+/// key order wherever they differ. One read builds the four 256-bucket
+/// histograms; the scatter passes run from key byte 3 to key byte 0,
+/// alternating between `a` and `scratch`, and skip a byte whose histogram
+/// puts every entry in one bucket. The merge sort then runs only inside
+/// each run of entries whose first four bytes are equal. Counting passes
+/// compare no keys, so the returned count holds the merge sort's
+/// comparisons alone. Both halves are hand-rolled rather than
+/// std::stable_sort so that count is a deterministic function of the input
+/// on every platform/stdlib — bench/ml_scaling gates on it.
+inline std::int64_t sort_entries_range(KVBatch::Entry* a, std::size_t n,
+                                       KVBatch::Entry* scratch) {
+  if (n <= kSortRadixCutoff) return detail::merge_sort_entries(a, n, scratch);
+  const auto top = [](const KVBatch::Entry& e) {
+    return static_cast<std::uint32_t>(e.prefix >> 32);
+  };
+  std::size_t hist[4][256] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t t = top(a[i]);
+    for (unsigned b = 0; b < 4; ++b) ++hist[b][(t >> (8 * b)) & 0xff];
+  }
+  KVBatch::Entry* src = a;
+  KVBatch::Entry* dst = scratch;
+  for (unsigned b = 0; b < 4; ++b) {
+    std::size_t* offset = hist[b];
+    const unsigned shift = 8 * b;
+    if (offset[(top(src[0]) >> shift) & 0xff] == n) continue;
+    std::size_t sum = 0;
+    for (std::size_t k = 0; k < 256; ++k) sum += std::exchange(offset[k], sum);
+    for (std::size_t i = 0; i < n; ++i) dst[offset[(top(src[i]) >> shift) & 0xff]++] = src[i];
+    std::swap(src, dst);
+  }
+  if (src != a) std::memcpy(a, src, n * sizeof(KVBatch::Entry));
+  std::int64_t comparisons = 0;
+  for (std::size_t lo = 0; lo < n;) {
+    std::size_t hi = lo + 1;
+    while (hi < n && top(a[hi]) == top(a[lo])) ++hi;
+    comparisons += detail::merge_sort_entries(a + lo, hi - lo, scratch + lo);
+    lo = hi;
+  }
+  return comparisons;
+}
+
 /// Convenience wrapper over sort_entries_range that allocates its own
-/// scratch (only when a merge pass is actually needed).
+/// scratch (only when a merge pass or a radix split needs it).
 inline std::int64_t sort_entries(std::vector<KVBatch::Entry>& entries) {
   const std::size_t n = entries.size();
   if (n <= kSortBaseRun) return sort_entries_range(entries.data(), n, nullptr);

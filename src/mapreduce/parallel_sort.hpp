@@ -33,12 +33,14 @@ inline std::size_t run_split_count(std::size_t n, std::size_t threshold) {
 
 /// Stable parallel sort of [a, a+n): the range is cut into
 /// run_split_count(n, threshold) contiguous runs at fixed boundaries
-/// lo_k = n*k/K, each run is sorted with the serial algorithm, then runs
-/// are merged pairwise level by level (ties take the left/earlier run, so
-/// the result — and the comparison count — is identical to what the serial
-/// sort's own merge passes would produce for that split structure).
-/// K == 1 degenerates to exactly sort_entries_range, byte-for-byte
-/// identical comparisons included. Returns total key comparisons.
+/// lo_k = n*k/K, each run is sorted with the serial sort_entries_range
+/// (radix-split inside when it holds more than kSortRadixCutoff entries),
+/// then runs are merged pairwise level by level (ties take the left/earlier
+/// run, so the result is the stable sort of the whole range, and the
+/// comparison count is a pure function of the data and that split
+/// structure). K == 1 degenerates to exactly sort_entries_range,
+/// byte-for-byte identical comparisons included. Returns total key
+/// comparisons.
 inline std::int64_t parallel_sort_entries(KVBatch::Entry* a, std::size_t n,
                                           std::size_t threshold, WorkerPool& pool) {
   const std::size_t K = run_split_count(n, threshold);

@@ -246,6 +246,117 @@ TEST(KVBatch, SortEntriesIsStable) {
   }
 }
 
+/// tricky_keys() plus keys aimed at the radix split of sort_entries_range,
+/// which buckets entries on their first four key bytes: keys sharing those
+/// four and differing in bytes 4-7, keys sharing their first eight, keys
+/// under four bytes with embedded NULs (their zero-padded bytes tie with
+/// real NULs), and keys holding 0xff bytes (the top bucket).
+std::vector<std::string> radix_keys() {
+  auto keys = tricky_keys();
+  for (const char* k : {"abcd", "abcdA", "abcdAzzz", "abcdB", "abcdefg", "abcdefgh",
+                        "abcdefgh1", "abcdefgh2", "abcdefghZZZZ"}) {
+    keys.emplace_back(k);
+  }
+  keys.emplace_back("abcd\0", 5);
+  keys.emplace_back("abcdefgh\0", 9);
+  keys.emplace_back("a\0\0\0\0", 5);
+  keys.emplace_back("\0\0\0\0\x01", 5);
+  keys.emplace_back("\xff\xff\xff\xff");
+  keys.emplace_back("\xff\xff\xff\xff\xff");
+  keys.emplace_back("\xff\xff\xff\xfe\xff");
+  keys.emplace_back("a\xff");
+  keys.emplace_back("\xff\0\xff", 3);
+  return keys;
+}
+
+/// Sort a copy of `batch`'s entries with sort_entries and expect exactly
+/// the std::stable_sort by key: values carry the push index, so a tie out
+/// of input order shows. Returns the key comparisons sort_entries made.
+std::int64_t expect_sorts_like_stable_sort(const mr::KVBatch& batch) {
+  std::vector<mr::KVBatch::Entry> entries(batch.entries().begin(), batch.entries().end());
+  auto expected = entries;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.key() < b.key(); });
+  const std::int64_t comparisons = mr::sort_entries(entries);
+  EXPECT_EQ(entries.size(), expected.size());
+  for (std::size_t i = 0; i < entries.size() && i < expected.size(); ++i) {
+    EXPECT_EQ(entries[i].key(), expected[i].key()) << "entry " << i << " of " << entries.size();
+    EXPECT_EQ(entries[i].value(), expected[i].value()) << "entry " << i << " of " << entries.size();
+  }
+  return comparisons;
+}
+
+TEST(KVBatch, RadixSortMatchesStableSortAroundTheCutoff) {
+  const auto keys = radix_keys();
+  for (const std::size_t n :
+       {mr::kSortRadixCutoff - 1, mr::kSortRadixCutoff, mr::kSortRadixCutoff + 1,
+        std::size_t{4096}}) {
+    mr::KVBatch batch;
+    std::uint64_t s = 1000 + n;
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.push(keys[splitmix(s) % keys.size()], std::to_string(i));
+    }
+    SCOPED_TRACE("n = " + std::to_string(n));
+    expect_sorts_like_stable_sort(batch);
+  }
+}
+
+TEST(KVBatch, RadixSortHandlesDegenerateRanges) {
+  constexpr std::size_t n = 1000;
+  {
+    SCOPED_TRACE("all keys identical");
+    mr::KVBatch batch;
+    for (std::size_t i = 0; i < n; ++i) batch.push("same-key", std::to_string(i));
+    expect_sorts_like_stable_sort(batch);
+  }
+  {
+    // Every byte's histogram holds one bucket, so every counting pass is
+    // skipped and one merge sort covers the whole range: exactly the
+    // comparisons of the plain merge sort.
+    SCOPED_TRACE("all keys share their first four bytes");
+    mr::KVBatch batch;
+    std::uint64_t s = 5;
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.push("abcd" + std::to_string(splitmix(s) % 97), std::to_string(i));
+    }
+    const std::int64_t comparisons = expect_sorts_like_stable_sort(batch);
+    std::vector<mr::KVBatch::Entry> entries(batch.entries().begin(), batch.entries().end());
+    std::vector<mr::KVBatch::Entry> scratch(n);
+    EXPECT_EQ(comparisons, mr::detail::merge_sort_entries(entries.data(), n, scratch.data()));
+  }
+  {
+    SCOPED_TRACE("already sorted");
+    mr::KVBatch batch;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string key = std::to_string(100000 + i / 3);
+      batch.push(key, std::to_string(i));
+    }
+    expect_sorts_like_stable_sort(batch);
+  }
+  {
+    SCOPED_TRACE("reverse order");
+    mr::KVBatch batch;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string key = std::to_string(200000 - i / 3);
+      batch.push(key, std::to_string(i));
+    }
+    expect_sorts_like_stable_sort(batch);
+  }
+  {
+    // Keys whose first four bytes all differ are placed by the counting
+    // passes alone: no key comparison at all.
+    SCOPED_TRACE("first four bytes all distinct");
+    mr::KVBatch batch;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t v = static_cast<std::uint32_t>((n - i) * 2654435761u);
+      const char key[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
+                           static_cast<char>(v >> 8), static_cast<char>(v)};
+      batch.push(std::string_view(key, 4), std::to_string(i));
+    }
+    EXPECT_EQ(expect_sorts_like_stable_sort(batch), 0);
+  }
+}
+
 TEST(KVBatch, MergeRunsMatchesStableSortOfConcatenation) {
   mr::KVBatch batch;
   const auto keys = tricky_keys();
@@ -378,7 +489,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepCase{1, 200, 4, 3, false}, SweepCase{2, 200, 4, 3, true},
                       SweepCase{3, 64, 1, 1, false}, SweepCase{4, 64, 7, 2, true},
                       SweepCase{5, 500, 8, 5, true}, SweepCase{6, 500, 3, 4, false},
-                      SweepCase{7, 33, 16, 2, true}, SweepCase{8, 1, 4, 2, false}),
+                      SweepCase{7, 33, 16, 2, true}, SweepCase{8, 1, 4, 2, false},
+                      // Spill partitions of about 1250 and 830 entries:
+                      // past kSortRadixCutoff, so the radix split runs.
+                      SweepCase{9, 5000, 2, 2, false}, SweepCase{10, 5000, 3, 2, true}),
     [](const auto& param_info) {
       const SweepCase& c = param_info.param;
       return "seed" + std::to_string(c.seed) + "_n" + std::to_string(c.records) + "_s" +
