@@ -119,6 +119,12 @@ class KVBatch {
   /// Arena chunks allocated — deterministic for a given push sequence.
   std::int64_t chunks_allocated() const { return static_cast<std::int64_t>(chunks_.size()); }
 
+  /// Free the entry index but keep the arena chunks: entries copied out
+  /// before (into partition lists, say) still read their key and value
+  /// bytes. size() is 0 afterwards; total_bytes() and chunks_allocated()
+  /// are unchanged.
+  void release_index() { std::vector<Entry>().swap(entries_); }
+
   void clear() {
     chunks_.clear();
     entries_.clear();

@@ -173,6 +173,10 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
       out.parts[slot[i]].push_back(entries[i]);
       out.part_bytes[slot[i]] += static_cast<double>(entries[i].bytes());
     }
+    // The partition lists now hold every entry; from here on only the
+    // arena's chunks are read, so its flat index (24 bytes per record)
+    // need not live until the job ends.
+    out.arena.release_index();
     if (spec.config.use_combiner) out.combined.resize(uR);
   });
 

@@ -357,6 +357,29 @@ TEST(KVBatch, RadixSortHandlesDegenerateRanges) {
   }
 }
 
+TEST(KVBatch, ReleaseIndexKeepsArenaBytes) {
+  mr::KVBatch batch;
+  std::vector<std::string> keys, values;
+  for (int i = 0; i < 5000; ++i) {
+    keys.push_back("key-" + std::to_string(i * 7919 % 5000));
+    values.push_back(std::string(static_cast<std::size_t>(i % 40), static_cast<char>('a' + i % 26)));
+    batch.push(keys.back(), values.back());
+  }
+  const std::vector<mr::KVBatch::Entry> copies(batch.entries().begin(), batch.entries().end());
+  const std::int64_t chunks = batch.chunks_allocated();
+  const std::size_t bytes = batch.total_bytes();
+  ASSERT_GT(chunks, 1);
+  batch.release_index();
+  EXPECT_EQ(batch.size(), 0u);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(batch.chunks_allocated(), chunks);
+  EXPECT_EQ(batch.total_bytes(), bytes);
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    EXPECT_EQ(copies[i].key(), keys[i]) << i;
+    EXPECT_EQ(copies[i].value(), values[i]) << i;
+  }
+}
+
 TEST(KVBatch, MergeRunsMatchesStableSortOfConcatenation) {
   mr::KVBatch batch;
   const auto keys = tricky_keys();
