@@ -1,12 +1,15 @@
 // Microbenchmarks (google-benchmark) for the platform's hot kernels: the
 // discrete-event queue, the fluid max-min solver, the logical MapReduce
-// runtime, and the clustering arithmetic. Besides the usual console table,
+// runtime and its spill sort, and the clustering arithmetic. Besides the
+// usual console table (user counters included),
 // the run is captured into BENCH_micro_engine.json (one row per benchmark)
 // so CI can archive it alongside the macro benches.
 
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
+#include "mapreduce/job.hpp"
+#include "mapreduce/kv_batch.hpp"
 #include "mapreduce/local_runner.hpp"
 #include "ml/kmeans.hpp"
 #include "sim/engine.hpp"
@@ -62,6 +65,40 @@ void BM_WordcountLogical(benchmark::State& state) {
 }
 BENCHMARK(BM_WordcountLogical)->Arg(64)->Arg(512);
 
+/// Spill-sort yardstick: WordcountMapper run over a TextCorpus (the
+/// local-wordcount key mix) fills one KVBatch, as a map task's arena; each
+/// iteration sorts a fresh copy of its first n entries with sort_entries.
+/// n = 20480 is one run of a spill partition as parallel_sort_entries cuts
+/// it, 163840 about one whole local-wordcount partition. `comparisons` is
+/// the key-comparison count of one sort.
+void BM_SortEntries(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  mapreduce::Context ctx;
+  workloads::WordcountMapper mapper;
+  for (const auto& line : workloads::TextCorpus(20000).generate(16.0 * static_cast<double>(n))) {
+    mapper.map(line.key, line.value, ctx);
+  }
+  const mapreduce::KVBatch batch = ctx.take_batch();
+  if (batch.size() < n) {
+    state.SkipWithError("corpus too small");
+    return;
+  }
+  const auto first = batch.entries().first(n);
+  std::vector<mapreduce::KVBatch::Entry> entries;
+  std::int64_t comparisons = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    entries.assign(first.begin(), first.end());
+    state.ResumeTiming();
+    comparisons = mapreduce::sort_entries(entries);
+    benchmark::DoNotOptimize(entries.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["comparisons"] = static_cast<double>(comparisons);
+}
+BENCHMARK(BM_SortEntries)->Arg(20480)->Arg(163840);
+
 void BM_KMeansIteration(benchmark::State& state) {
   auto data = ml::display_clustering_samples(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -75,7 +112,8 @@ void BM_KMeansIteration(benchmark::State& state) {
 BENCHMARK(BM_KMeansIteration)->Arg(1000)->Arg(10000);
 
 /// Console output as usual, plus one BenchResults row per benchmark run
-/// (aggregates included, tagged via the run_type/aggregate columns).
+/// (aggregates included, tagged via the run_type/aggregate columns), with
+/// every user counter as a column of its own.
 class JsonCaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -87,6 +125,7 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
           .col("real_time_ns", run.GetAdjustedRealTime())
           .col("cpu_time_ns", run.GetAdjustedCPUTime())
           .col("iterations", static_cast<double>(run.iterations));
+      for (const auto& [name, counter] : run.counters) results_.col(name, counter.value);
     }
     ConsoleReporter::ReportRuns(runs);
   }
