@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <system_error>
 
 namespace vhadoop::sim {
 
@@ -54,8 +58,14 @@ int verify_every_from_env() {
   // vlint: allow(no-os-entropy) audited PR 9: oracle sampling period only; never read outside reference mode, never alters the simulation itself
   const char* v = std::getenv("VHADOOP_FLUID_VERIFY_EVERY");
   if (v == nullptr || *v == '\0') return 1;
-  const int every = std::atoi(v);
-  return every > 1 ? every : 1;
+  const std::string_view text(v);
+  int every = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), every);
+  if (ec != std::errc{} || end != text.data() + text.size() || every < 1) {
+    throw std::invalid_argument("VHADOOP_FLUID_VERIFY_EVERY must be an integer >= 1, got '" +
+                                std::string(text) + "'");
+  }
+  return every;
 }
 
 }  // namespace

@@ -124,7 +124,10 @@ class FluidModel {
   };
 
   /// Reference-oracle mode defaults to the VHADOOP_FLUID_REFERENCE
-  /// environment variable; pass `reference` explicitly in tests.
+  /// environment variable; pass `reference` explicitly in tests. In
+  /// reference mode a set, non-empty VHADOOP_FLUID_VERIFY_EVERY must be a
+  /// whole integer >= 1, or the constructor throws std::invalid_argument
+  /// naming the variable and its text.
   explicit FluidModel(Engine& engine);
   FluidModel(Engine& engine, bool reference);
   FluidModel(const FluidModel&) = delete;

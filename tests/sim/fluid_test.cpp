@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -467,6 +469,46 @@ TEST(FluidCoalescing, CoFinishersCompleteInTheOrderTheirComponentsWereDirtied) {
   };
   EXPECT_EQ(run(true), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(run(false), (std::vector<std::string>{"b", "a"}));
+}
+
+/// Sets VHADOOP_FLUID_VERIFY_EVERY for one scope and unsets it after.
+class VerifyEveryEnv {
+ public:
+  explicit VerifyEveryEnv(const char* value) { ::setenv(kName, value, 1); }
+  ~VerifyEveryEnv() { ::unsetenv(kName); }
+  VerifyEveryEnv(const VerifyEveryEnv&) = delete;
+  VerifyEveryEnv& operator=(const VerifyEveryEnv&) = delete;
+
+  static constexpr const char* kName = "VHADOOP_FLUID_VERIFY_EVERY";
+};
+
+TEST(FluidReferenceMode, MalformedVerifyEveryIsRejected) {
+  for (const char* bad : {"abc", "10x", "0", "-3", "2147483648", "99999999999999999999", " 5",
+                          "+5", "1.5"}) {
+    const VerifyEveryEnv env(bad);
+    Engine engine;
+    try {
+      FluidModel model(engine, true);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(VerifyEveryEnv::kName), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(FluidReferenceMode, WellFormedOrUnsetVerifyEveryIsAccepted) {
+  for (const char* good : {"1", "7", "2147483647", ""}) {
+    const VerifyEveryEnv env(good);
+    Engine engine;
+    EXPECT_NO_THROW(FluidModel(engine, true)) << "'" << good << "'";
+  }
+  Engine engine;
+  EXPECT_NO_THROW(FluidModel(engine, true));  // unset
+  // Outside reference mode the variable is never read.
+  const VerifyEveryEnv env("abc");
+  EXPECT_NO_THROW(FluidModel(engine, false));
 }
 
 // ---------------------------------------------------------------------------
