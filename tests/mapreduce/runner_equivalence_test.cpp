@@ -362,7 +362,7 @@ TEST(KVBatch, ReleaseIndexKeepsArenaBytes) {
   std::vector<std::string> keys, values;
   for (int i = 0; i < 5000; ++i) {
     keys.push_back("key-" + std::to_string(i * 7919 % 5000));
-    values.push_back(std::string(static_cast<std::size_t>(i % 40), static_cast<char>('a' + i % 26)));
+    values.emplace_back(static_cast<std::size_t>(i % 40), static_cast<char>('a' + i % 26));
     batch.push(keys.back(), values.back());
   }
   const std::vector<mr::KVBatch::Entry> copies(batch.entries().begin(), batch.entries().end());
