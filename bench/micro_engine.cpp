@@ -68,9 +68,9 @@ BENCHMARK(BM_WordcountLogical)->Arg(64)->Arg(512);
 /// Spill-sort yardstick: WordcountMapper run over a TextCorpus (the
 /// local-wordcount key mix) fills one KVBatch, as a map task's arena; each
 /// iteration sorts a fresh copy of its first n entries with sort_entries.
-/// n = 20480 is one run of a spill partition as parallel_sort_entries cuts
-/// it, 163840 about one whole local-wordcount partition. `comparisons` is
-/// the key-comparison count of one sort.
+/// n = 163840 is one whole local-wordcount spill partition, which the
+/// runner sorts in one call; n = 20480 is a smaller range of the same key
+/// mix. `comparisons` is the key-comparison count of one sort.
 void BM_SortEntries(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   mapreduce::Context ctx;

@@ -149,8 +149,10 @@ struct DataPathStats {
   std::int64_t map_emit_bytes = 0;     ///< logical bytes emitted by all mappers
   std::int64_t shuffle_records = 0;    ///< records crossing map->reduce (post-combine)
   /// Key comparisons (compare_entries calls) of the map-side spill sorts,
-  /// combiner re-sorts included. The radix split's counting passes compare
-  /// no keys and are not counted.
+  /// combiner re-sorts included. Each partition is sorted whole by
+  /// sort_entries, so this is a function of the data alone, the same at
+  /// every thread count. The radix split's counting passes compare no keys
+  /// and are not counted.
   std::int64_t sort_comparisons = 0;
   std::int64_t merge_comparisons = 0;  ///< reduce-side k-way merge
   std::int64_t arena_chunks = 0;       ///< map-side KVBatch chunks (spill + combiner arenas)

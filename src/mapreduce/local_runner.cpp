@@ -5,13 +5,13 @@
 #include <utility>
 
 #include "mapreduce/kv_batch.hpp"
-#include "mapreduce/parallel_sort.hpp"
+#include "mapreduce/parallel_merge.hpp"
 #include "mapreduce/thread_pool.hpp"
 
 namespace vhadoop::mapreduce {
 
-LocalJobRunner::LocalJobRunner(unsigned threads, const RunnerTuning& tuning)
-    : threads_(threads == 0 ? default_threads() : threads), tuning_(tuning) {}
+LocalJobRunner::LocalJobRunner(unsigned threads)
+    : threads_(threads == 0 ? default_threads() : threads) {}
 
 double modeled_task_cpu(const CostModel& c, std::int64_t in_records, double in_bytes,
                         std::int64_t out_records, double out_bytes, bool is_map) {
@@ -65,38 +65,6 @@ struct MapOutput {
   std::int64_t arena_chunks = 0;
 };
 
-/// One spill-sort work unit: a partition plus the flat slot its comparison
-/// tally is accumulated into (slots are summed in fixed order afterwards,
-/// so the gated counters never depend on the execution schedule).
-struct SortUnit {
-  std::vector<KVBatch::Entry>* part;
-  std::size_t slot;
-};
-
-/// Sort every partition in `units`. Partitions at or under `threshold`
-/// entries stay serial and are batched across the pool (one unit per
-/// partition); larger ones run one at a time at top level so the run-split
-/// parallel sort can use the pool *inside* the partition. Classification is
-/// by size only — a pure data function — and either route produces the
-/// comparison count of the same run_split_count structure, so counters are
-/// identical across thread counts.
-void sort_partition_units(const std::vector<SortUnit>& units, std::vector<std::int64_t>& comps,
-                          std::size_t threshold, WorkerPool& pool) {
-  std::vector<std::size_t> small_units, large_units;
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    (units[u].part->size() <= threshold ? small_units : large_units).push_back(u);
-  }
-  pool.parallel_for(small_units.size(), [&](std::size_t si) {
-    const SortUnit& unit = units[small_units[si]];
-    comps[unit.slot] += sort_entries(*unit.part);
-  });
-  for (const std::size_t u : large_units) {
-    const SortUnit& unit = units[u];
-    comps[unit.slot] +=
-        parallel_sort_entries(unit.part->data(), unit.part->size(), threshold, pool);
-  }
-}
-
 }  // namespace
 
 JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
@@ -116,16 +84,15 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
   // to it directly (inlined) instead of through a std::function unless the
   // job installed a custom partitioner.
   const bool custom_partitioner = static_cast<bool>(spec.partitioner);
-  const auto sort_threshold = static_cast<std::size_t>(tuning_.sort_parallel_threshold);
-  const auto merge_min = static_cast<std::size_t>(tuning_.merge_range_split_min);
   WorkerPool& pool = WorkerPool::shared(threads_);
 
   // --- phase A: map + partition --------------------------------------------
   // One arena per map task; partition lists hold 24-byte entries, so the
   // partition -> sort -> combine pipeline never copies key/value payloads.
-  // Sorting is deliberately NOT done here: hoisting it into its own flat
-  // phase (B) lets a huge partition use the whole pool instead of being
-  // stuck inside one map task's slot (DESIGN.md §15).
+  // Sorting is deliberately NOT done here: in its own flat phase (B) every
+  // partition of every map task is one unit of pool work, so the sorts
+  // spread over the pool even when there are fewer map tasks than threads
+  // (DESIGN.md §15).
   std::vector<MapOutput> map_out(uS);
   const std::size_t n = input.size();
   pool.parallel_for(uS, [&](std::size_t m) {
@@ -181,33 +148,31 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
   });
 
   // --- phase B: spill sorts ------------------------------------------------
-  // All S*R partitions as one flat unit list: small ones batch across the
-  // pool, oversized ones get the run-split parallel sort. Comparison slots
-  // are per-(m,p) and summed per map task in p order below, so the gated
-  // totals match any execution order.
+  // Every non-empty (map, reduce) partition is one unit, sorted whole by the
+  // serial sort_entries; units run side by side on the pool, as Hadoop's map
+  // tasks each sort their own spill. Comparison slots are per (m, p), so the
+  // gated totals are a function of the data alone, whatever the thread
+  // count or execution order.
+  std::vector<std::pair<std::size_t, std::size_t>> units;  // (m, p)
+  for (std::size_t m = 0; m < uS; ++m) {
+    for (std::size_t p = 0; p < uR; ++p) {
+      if (!map_out[m].parts[p].empty()) units.push_back({m, p});
+    }
+  }
   std::vector<std::int64_t> sort_comps(uS * uR, 0);
   std::vector<std::int64_t> combiner_chunks(uS * uR, 0);
-  {
-    std::vector<SortUnit> units;
-    units.reserve(uS * uR);
-    for (std::size_t m = 0; m < uS; ++m) {
-      for (std::size_t p = 0; p < uR; ++p) {
-        if (!map_out[m].parts[p].empty()) units.push_back({&map_out[m].parts[p], m * uR + p});
-      }
-    }
-    sort_partition_units(units, sort_comps, sort_threshold, pool);
-  }
+  const auto sort_units = [&] {
+    pool.parallel_for(units.size(), [&](std::size_t u) {
+      const auto [m, p] = units[u];
+      sort_comps[m * uR + p] += sort_entries(map_out[m].parts[p]);
+    });
+  };
+  sort_units();
 
   // --- phase C: combiner ---------------------------------------------------
   if (spec.config.use_combiner) {
-    std::vector<std::pair<std::size_t, std::size_t>> cunits;  // (m, p), non-empty only
-    for (std::size_t m = 0; m < uS; ++m) {
-      for (std::size_t p = 0; p < uR; ++p) {
-        if (!map_out[m].parts[p].empty()) cunits.push_back({m, p});
-      }
-    }
-    pool.parallel_for(cunits.size(), [&](std::size_t c) {
-      const auto [m, p] = cunits[c];
+    pool.parallel_for(units.size(), [&](std::size_t u) {
+      const auto [m, p] = units[u];
       auto& part = map_out[m].parts[p];
       auto combiner = spec.combiner();
       Context cctx;
@@ -218,14 +183,9 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
       part.assign(cb.entries().begin(), cb.entries().end());
       map_out[m].part_bytes[p] = static_cast<double>(cb.total_bytes());
     });
-    // Combiners may emit in any order: re-sort through the same routed
-    // machinery (slots accumulate on top of the spill-sort counts).
-    std::vector<SortUnit> units;
-    units.reserve(cunits.size());
-    for (const auto& [m, p] : cunits) {
-      if (!map_out[m].parts[p].empty()) units.push_back({&map_out[m].parts[p], m * uR + p});
-    }
-    sort_partition_units(units, sort_comps, sort_threshold, pool);
+    // Combiners may emit in any order: re-sort the same units (the counts
+    // accumulate on top of the spill-sort counts).
+    sort_units();
   }
 
   // --- phase D: map profiles -----------------------------------------------
@@ -262,7 +222,7 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
   // True k-way merge of the per-map sorted runs; ties resolve to the earlier
   // map then within-run order, which is exactly the order the reference
   // oracle's stable sort of the concatenation produces. Small merges batch
-  // across the pool; a merge over more than merge_range_split_min entries
+  // across the pool; a merge over more than kMergeRangeSplitMin entries
   // runs at top level so the prefix-range parallel merge can use the pool —
   // one huge partition no longer serializes the reduce side.
   std::vector<std::vector<KVBatch::Entry>> merged(uR);
@@ -283,7 +243,7 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
         prof.input_bytes += map_out[m].part_bytes[r];
         runs.push_back(part);
       }
-      merge_comparisons[r] = parallel_merge_runs(runs, merged[r], merge_min, pool);
+      merge_comparisons[r] = parallel_merge_runs(runs, merged[r], kMergeRangeSplitMin, pool);
       // The per-map runs for this reduce are dead now; release them so the
       // peak footprint is merged + arenas, not 2x the entry arrays.
       for (std::size_t m = 0; m < uS; ++m) {
@@ -294,7 +254,7 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
     };
     std::vector<std::size_t> small_r, large_r;
     for (std::size_t r = 0; r < uR; ++r) {
-      (reduce_total[r] <= merge_min ? small_r : large_r).push_back(r);
+      (reduce_total[r] <= kMergeRangeSplitMin ? small_r : large_r).push_back(r);
     }
     pool.parallel_for(small_r.size(), [&](std::size_t i) { merge_one(small_r[i]); });
     for (const std::size_t r : large_r) merge_one(r);

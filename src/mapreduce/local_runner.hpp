@@ -4,46 +4,10 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <stdexcept>
-#include <vector>
 
 #include "mapreduce/job.hpp"
 
 namespace vhadoop::mapreduce {
-
-/// Split thresholds of the real-execution LocalJobRunner's sort and merge
-/// stages (DESIGN.md §15). Both decide where work runs (serial vs
-/// parallel), never what is computed — outputs and profiles are identical
-/// at every setting, and the split structure they induce is a pure function
-/// of data + config, so comparison counters stay reproducible across thread
-/// counts. Only the tests set them, to force the parallel stages on tiny
-/// inputs.
-///
-/// Validated at construction: both thresholds must be positive (a zero or
-/// negative threshold would make the routing predicates degenerate).
-struct RunnerTuning {
-  RunnerTuning(std::int64_t sort_parallel_threshold_ = kDefaultSortParallelThreshold,
-               std::int64_t merge_range_split_min_ = kDefaultMergeRangeSplitMin)
-      : sort_parallel_threshold(sort_parallel_threshold_),
-        merge_range_split_min(merge_range_split_min_) {
-    if (sort_parallel_threshold <= 0) {
-      throw std::invalid_argument("RunnerTuning: sort_parallel_threshold must be positive");
-    }
-    if (merge_range_split_min <= 0) {
-      throw std::invalid_argument("RunnerTuning: merge_range_split_min must be positive");
-    }
-  }
-
-  static constexpr std::int64_t kDefaultSortParallelThreshold = 1 << 15;
-  static constexpr std::int64_t kDefaultMergeRangeSplitMin = 1 << 17;
-
-  /// A spill-sort partition larger than this many entries is cut into
-  /// power-of-two runs sorted in parallel (parallel_sort.hpp).
-  std::int64_t sort_parallel_threshold;
-  /// A reduce merge over more entries than this is split into prefix
-  /// key-ranges merged in parallel; smaller merges stay serial.
-  std::int64_t merge_range_split_min;
-};
 
 /// The *logical* MapReduce engine: really executes user Mapper/Combiner/
 /// Reducer code, multi-threaded, with Hadoop's dataflow — split, map,
@@ -61,7 +25,7 @@ struct RunnerTuning {
 /// match it exactly.
 class LocalJobRunner {
  public:
-  explicit LocalJobRunner(unsigned threads = 0, const RunnerTuning& tuning = {});
+  explicit LocalJobRunner(unsigned threads = 0);
 
   /// Run `spec` over `input`, cut into `num_splits` contiguous splits
   /// (one map task per split — Hadoop's FileInputFormat over block-aligned
@@ -74,11 +38,9 @@ class LocalJobRunner {
   JobResult run(const JobSpec& spec, std::span<const KV> input, int num_splits) const;
 
   unsigned threads() const { return threads_; }
-  const RunnerTuning& tuning() const { return tuning_; }
 
  private:
   unsigned threads_;
-  RunnerTuning tuning_;
 };
 
 /// Anything that runs a job the way LocalJobRunner::run does. Drivers that

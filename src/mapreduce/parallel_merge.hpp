@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -11,83 +10,25 @@
 
 namespace vhadoop::mapreduce {
 
-/// Parallel counterparts of the kv_batch.hpp sort/merge primitives.
+/// Parallel counterpart of the kv_batch.hpp k-way merge, used by the
+/// reduce side of LocalJobRunner.
 ///
-/// Determinism contract (DESIGN.md §15): every *split decision* below — how
-/// many runs a sort is cut into, where run boundaries fall, which key-range
-/// a merge is divided at — is a pure function of the data and the tuning
-/// thresholds, never of the thread count or execution schedule. Workers
-/// write comparison tallies into disjoint per-unit slots that are summed in
-/// fixed index order afterwards, so the counters bench/ml_scaling gates on
-/// are bit-identical whether a section ran on 1 thread or 16.
+/// Determinism contract (DESIGN.md §15): the *split decision* below — how
+/// many key-ranges a merge is cut into and where they fall — is a pure
+/// function of the data and the size cutoff, never of the thread count or
+/// execution schedule. Workers write comparison tallies into disjoint
+/// per-range slots that are summed in fixed index order afterwards, so the
+/// counters bench/ml_scaling gates on are bit-identical whether a merge ran
+/// on 1 thread or 16.
 
-/// Number of sorted runs (or merge key-ranges) a unit of `n` entries is cut
-/// into: the smallest power of two K with n <= K * threshold, capped at 64.
-/// K == 1 means "stay serial". Pure function of (n, threshold).
+/// Number of key-ranges a merge of `n` entries is cut into: the smallest
+/// power of two K with n <= K * threshold, capped at 64. K == 1 means "stay
+/// serial". Pure function of (n, threshold).
 inline std::size_t run_split_count(std::size_t n, std::size_t threshold) {
   constexpr std::size_t kMaxRuns = 64;
   std::size_t k = 1;
   while (k < kMaxRuns && n > k * threshold) k *= 2;
   return k;
-}
-
-/// Stable parallel sort of [a, a+n): the range is cut into
-/// run_split_count(n, threshold) contiguous runs at fixed boundaries
-/// lo_k = n*k/K, each run is sorted with the serial sort_entries_range
-/// (radix-split inside when it holds more than kSortRadixCutoff entries),
-/// then runs are merged pairwise level by level (ties take the left/earlier
-/// run, so the result is the stable sort of the whole range, and the
-/// comparison count is a pure function of the data and that split
-/// structure). K == 1 degenerates to exactly sort_entries_range,
-/// byte-for-byte identical comparisons included. Returns total key
-/// comparisons.
-inline std::int64_t parallel_sort_entries(KVBatch::Entry* a, std::size_t n,
-                                          std::size_t threshold, WorkerPool& pool) {
-  const std::size_t K = run_split_count(n, threshold);
-  if (K == 1) {
-    if (n <= kSortBaseRun) return sort_entries_range(a, n, nullptr);
-    std::vector<KVBatch::Entry> scratch(n);
-    return sort_entries_range(a, n, scratch.data());
-  }
-  std::vector<KVBatch::Entry> scratch(n);
-  auto run_lo = [n, K](std::size_t k) { return n * k / K; };
-
-  // Level 0: sort each run in place. Each unit touches only its own slice
-  // of `a`, `scratch`, and `comps` — disjoint per-slot writes.
-  std::vector<std::int64_t> comps(K, 0);
-  pool.parallel_for(K, [&](std::size_t k) {
-    const std::size_t lo = run_lo(k);
-    comps[k] = sort_entries_range(a + lo, run_lo(k + 1) - lo, scratch.data() + lo);
-  });
-  std::int64_t total = 0;
-  for (std::size_t k = 0; k < K; ++k) total += comps[k];
-
-  // Merge levels: pairwise, ping-ponging between `a` and `scratch`. Every
-  // level rewrites all n entries into dst (an unpaired tail block is
-  // carried over by merge_adjacent_runs' n2 == 0 memcpy path), so buffer
-  // parity is uniform. Summing each level's per-group tallies in group
-  // order keeps the total schedule-independent.
-  KVBatch::Entry* src = a;
-  KVBatch::Entry* dst = scratch.data();
-  bool in_a = true;
-  for (std::size_t width = 1; width < K; width *= 2) {
-    const std::size_t groups = (K + 2 * width - 1) / (2 * width);
-    comps.assign(groups, 0);
-    pool.parallel_for(groups, [&](std::size_t g) {
-      const std::size_t r0 = g * 2 * width;
-      const std::size_t r1 = std::min(r0 + width, K);
-      const std::size_t r2 = std::min(r0 + 2 * width, K);
-      const std::size_t lo = run_lo(r0);
-      const std::size_t mid = run_lo(r1);
-      const std::size_t hi = run_lo(r2);
-      comps[g] = merge_adjacent_runs(src + lo, mid - lo, hi - mid, dst + lo);
-    });
-    for (std::size_t g = 0; g < groups; ++g) total += comps[g];
-    std::swap(src, dst);
-    in_a = !in_a;
-  }
-  if (!in_a) std::memcpy(a, src, n * sizeof(KVBatch::Entry));
-  return total;
 }
 
 /// Split plan for one parallel k-way merge: key-range boundaries on the
@@ -154,6 +95,12 @@ inline MergeRangePlan plan_merge_ranges(std::span<const std::span<const KVBatch:
   }
   return plan;
 }
+
+/// Merges over more entries than this are split into key-ranges merged in
+/// parallel (LocalJobRunner's reduce side); smaller ones stay serial.
+/// Real jobs sit on both sides: Wordcount's reduce merges over 64 MiB of
+/// text hold millions of entries, a clustering iteration's a few hundred.
+inline constexpr std::size_t kMergeRangeSplitMin = std::size_t{1} << 17;
 
 /// Parallel k-way merge of key-sorted runs into `out`: the key space is
 /// split into fixed prefix ranges (plan_merge_ranges) and each range is

@@ -1,8 +1,8 @@
 // Unit tests for the deterministic intra-task parallel runtime (DESIGN.md
-// §15): the persistent WorkerPool and its process-wide instances, the
-// RunnerTuning validation, and the run-split parallel sort / prefix-range
-// parallel merge whose comparison counts must be bit-identical across
-// thread counts; plus the reference oracle's spawn-per-call parallel_for.
+// §15): the persistent WorkerPool and its process-wide instances, and the
+// prefix-range parallel merge whose comparison counts must be bit-identical
+// across thread counts; plus the reference oracle's spawn-per-call
+// parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "mapreduce/kv_batch.hpp"
-#include "mapreduce/local_runner.hpp"
-#include "mapreduce/parallel_sort.hpp"
+#include "mapreduce/parallel_merge.hpp"
 #include "mapreduce/thread_pool.hpp"
 #include "testutil/reference_runner.hpp"
 
@@ -210,25 +209,6 @@ TEST(WorkerPool, ConcurrentCallersGetOnlyTheirOwnIndicesAndExceptions) {
   EXPECT_EQ(failure1, "");
 }
 
-// --- RunnerTuning validation -------------------------------------------------
-
-TEST(RunnerTuning, DefaultsArePositiveAndPreserved) {
-  const mr::RunnerTuning t;
-  EXPECT_EQ(t.sort_parallel_threshold, mr::RunnerTuning::kDefaultSortParallelThreshold);
-  EXPECT_EQ(t.merge_range_split_min, mr::RunnerTuning::kDefaultMergeRangeSplitMin);
-  const mr::RunnerTuning custom(10, 30);
-  EXPECT_EQ(custom.sort_parallel_threshold, 10);
-  EXPECT_EQ(custom.merge_range_split_min, 30);
-}
-
-TEST(RunnerTuning, RejectsNonPositiveValues) {
-  EXPECT_THROW(mr::RunnerTuning(0, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(-5, 1), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, 0), std::invalid_argument);
-  EXPECT_THROW(mr::RunnerTuning(1, -7), std::invalid_argument);
-  EXPECT_NO_THROW(mr::RunnerTuning(1, 1));
-}
-
 // --- run_split_count ---------------------------------------------------------
 
 TEST(RunSplitCount, IsAPureStepFunctionOfSizeAndThreshold) {
@@ -240,53 +220,6 @@ TEST(RunSplitCount, IsAPureStepFunctionOfSizeAndThreshold) {
   EXPECT_EQ(mr::run_split_count(1000, 100), 16u);
   // Capped at 64 runs no matter how big the input.
   EXPECT_EQ(mr::run_split_count(1'000'000'000, 1), 64u);
-}
-
-// --- parallel sort -----------------------------------------------------------
-
-TEST(ParallelSort, MatchesSerialSortAndIsStable) {
-  const auto batch = random_batch(42, 3000, 40);
-  auto expected = entries_of(batch);
-  mr::sort_entries(expected);
-
-  for (const std::size_t threshold : {50u, 128u, 1024u, 100000u}) {
-    mr::WorkerPool pool(4);
-    auto got = entries_of(batch);
-    mr::parallel_sort_entries(got.data(), got.size(), threshold, pool);
-    expect_same_entries(got, expected);
-  }
-}
-
-TEST(ParallelSort, ComparisonCountIsIdenticalAcrossThreadCounts) {
-  const auto batch = random_batch(7, 5000, 200);
-  std::vector<std::int64_t> counts;
-  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    mr::WorkerPool pool(threads);
-    auto got = entries_of(batch);
-    counts.push_back(mr::parallel_sort_entries(got.data(), got.size(), 100, pool));
-  }
-  for (std::size_t i = 1; i < counts.size(); ++i) EXPECT_EQ(counts[i], counts[0]);
-  EXPECT_GT(counts[0], 0);
-}
-
-TEST(ParallelSort, SerialThresholdMatchesSortEntriesExactly) {
-  // K == 1 (threshold >= n) must be byte-for-byte the serial algorithm,
-  // comparisons included.
-  const auto batch = random_batch(3, 800, 25);
-  auto serial = entries_of(batch);
-  const std::int64_t serial_comps = mr::sort_entries(serial);
-  mr::WorkerPool pool(8);
-  auto par = entries_of(batch);
-  const std::int64_t par_comps = mr::parallel_sort_entries(par.data(), par.size(), 800, pool);
-  EXPECT_EQ(par_comps, serial_comps);
-  expect_same_entries(par, serial);
-}
-
-TEST(ParallelSort, HandlesTinyAndEmptyRanges) {
-  mr::WorkerPool pool(4);
-  EXPECT_EQ(mr::parallel_sort_entries(nullptr, 0, 10, pool), 0);
-  auto one = entries_of(random_batch(1, 1, 4));
-  EXPECT_EQ(mr::parallel_sort_entries(one.data(), 1, 10, pool), 0);
 }
 
 // --- parallel merge ----------------------------------------------------------
@@ -307,16 +240,24 @@ std::vector<std::span<const mr::KVBatch::Entry>> spans_of(
 }
 
 TEST(ParallelMerge, MatchesSerialMergeAtEverySplitFactor) {
+  // Five runs over 60 keys, and six runs where half the entries share one
+  // hot key and the rest spread over 50 keys.
   const auto batch = random_batch(11, 4000, 60);
-  const auto runs = sorted_runs(batch, 5);
-  std::vector<mr::KVBatch::Entry> expected;
-  mr::merge_runs(spans_of(runs), expected);
-
-  for (const std::size_t min_split : {50u, 300u, 2000u, 100000u}) {
-    mr::WorkerPool pool(4);
-    std::vector<mr::KVBatch::Entry> got;
-    mr::parallel_merge_runs(spans_of(runs), got, min_split, pool);
-    expect_same_entries(got, expected);
+  mr::KVBatch skewed;
+  std::uint64_t s = 22;
+  for (int i = 0; i < 5000; ++i) {
+    skewed.push(i % 2 == 0 ? "skew-hot" : "skew-k" + std::to_string(splitmix(s) % 50),
+                std::to_string(i));
+  }
+  for (const auto& runs : {sorted_runs(batch, 5), sorted_runs(skewed, 6)}) {
+    std::vector<mr::KVBatch::Entry> expected;
+    mr::merge_runs(spans_of(runs), expected);
+    for (const std::size_t min_split : {50u, 300u, 2000u, 100000u}) {
+      mr::WorkerPool pool(4);
+      std::vector<mr::KVBatch::Entry> got;
+      mr::parallel_merge_runs(spans_of(runs), got, min_split, pool);
+      expect_same_entries(got, expected);
+    }
   }
 }
 
@@ -346,15 +287,20 @@ TEST(ParallelMerge, BelowCutoffIsExactlyTheSerialMerge) {
 
 TEST(ParallelMerge, SingleHotKeyCollapsesRangesButStaysCorrect) {
   // Every key equal: all boundary candidates coincide, so all but one range
-  // is empty — output must still be the stable serial order.
+  // is empty — output must still be the stable serial order, also with
+  // empty runs beside the hot ones.
   mr::KVBatch batch;
   for (int i = 0; i < 3000; ++i) batch.push("hot", std::to_string(i));
-  const auto runs = sorted_runs(batch, 3);
-  std::vector<mr::KVBatch::Entry> expected, got;
-  mr::merge_runs(spans_of(runs), expected);
-  mr::WorkerPool pool(4);
-  mr::parallel_merge_runs(spans_of(runs), got, 100, pool);
-  expect_same_entries(got, expected);
+  const auto hot = sorted_runs(batch, 3);
+  const std::vector<std::vector<mr::KVBatch::Entry>> with_empty{{}, hot[0], {}, hot[1], hot[2],
+                                                                {}};
+  for (const auto& runs : {hot, with_empty}) {
+    std::vector<mr::KVBatch::Entry> expected, got;
+    mr::merge_runs(spans_of(runs), expected);
+    mr::WorkerPool pool(4);
+    mr::parallel_merge_runs(spans_of(runs), got, 100, pool);
+    expect_same_entries(got, expected);
+  }
 }
 
 TEST(ParallelMerge, EmptyAndSingleRunEdgeCases) {

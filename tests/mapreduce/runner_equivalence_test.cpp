@@ -578,54 +578,38 @@ TEST(RunnerEdgeCases, OutOfRangePartitionerThrowsInBothModes) {
   EXPECT_THROW(reference.run(spec, records, 2), std::out_of_range);
 }
 
-TEST(RunnerEdgeCases, TuningComesFromConstructor) {
-  const mr::RunnerTuning t(7, 11);
-  const mr::LocalJobRunner runner(2, t);
-  EXPECT_EQ(runner.tuning().sort_parallel_threshold, 7);
-  EXPECT_EQ(runner.tuning().merge_range_split_min, 11);
-}
-
 // --- thread-count sweep (DESIGN.md §15) --------------------------------------
 //
-// The parallel data path's determinism contract: for a fixed tuning, the
-// JobResult — outputs, profiles, shuffle matrix, AND the sort/merge
-// comparison + arena-chunk counters — is byte-identical at every thread
-// count, and outputs/profiles always match the reference oracle.
+// The parallel data path's determinism contract: the JobResult — outputs,
+// profiles, shuffle matrix, AND the sort/merge comparison + arena-chunk
+// counters — is byte-identical at every thread count, and outputs/profiles
+// always match the reference oracle.
 
-/// Tuning that forces deep parallel sort and merge split structures even on
-/// tiny inputs (64-entry thresholds), so small shapes exercise the full
-/// multi-threaded pipeline too.
-mr::RunnerTuning forced_full_tuning() { return {64, 64}; }
-
-void run_thread_sweep(const std::vector<mr::KV>& records, int splits, int reduces, bool combiner,
-                      const std::vector<mr::RunnerTuning>& tunings) {
+void run_thread_sweep(const std::vector<mr::KV>& records, int splits, int reduces,
+                      bool combiner) {
   const auto spec = echo_spec(reduces, combiner);
   const ReferenceRunner reference(4);
   const auto ref = reference.run(spec, records, splits);
-  for (std::size_t t = 0; t < tunings.size(); ++t) {
-    std::optional<mr::JobResult> first;
-    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-      const mr::LocalJobRunner runner(threads, tunings[t]);
-      const auto got = runner.run(spec, records, splits);
-      expect_results_equal(got, ref);
-      if (!first) {
-        first = got;
-      } else {
-        // Counters must not depend on the thread count.
-        EXPECT_EQ(got.stats.sort_comparisons, first->stats.sort_comparisons)
-            << "tuning " << t << " threads " << threads;
-        EXPECT_EQ(got.stats.merge_comparisons, first->stats.merge_comparisons)
-            << "tuning " << t << " threads " << threads;
-        EXPECT_EQ(got.stats.arena_chunks, first->stats.arena_chunks)
-            << "tuning " << t << " threads " << threads;
-      }
+  std::optional<mr::JobResult> first;
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    const mr::LocalJobRunner runner(threads);
+    const auto got = runner.run(spec, records, splits);
+    expect_results_equal(got, ref);
+    if (!first) {
+      first = got;
+    } else {
+      // Counters must not depend on the thread count.
+      EXPECT_EQ(got.stats.sort_comparisons, first->stats.sort_comparisons)
+          << "threads " << threads;
+      EXPECT_EQ(got.stats.merge_comparisons, first->stats.merge_comparisons)
+          << "threads " << threads;
+      EXPECT_EQ(got.stats.arena_chunks, first->stats.arena_chunks) << "threads " << threads;
     }
   }
 }
 
 TEST(ThreadCountSweep, TinyJob) {
-  run_thread_sweep(random_records(21, 32), 4, 3, /*combiner=*/true,
-                   {mr::RunnerTuning{}, forced_full_tuning()});
+  run_thread_sweep(random_records(21, 32), 4, 3, /*combiner=*/true);
 }
 
 TEST(ThreadCountSweep, SkewedKeys) {
@@ -638,8 +622,7 @@ TEST(ThreadCountSweep, SkewedKeys) {
         i % 2 == 0 ? "skew-hot" : "skew-k" + std::to_string(splitmix(s) % 50);
     records.push_back({std::move(key), std::to_string(i)});
   }
-  run_thread_sweep(records, 6, 4, /*combiner=*/false,
-                   {mr::RunnerTuning{}, forced_full_tuning()});
+  run_thread_sweep(records, 6, 4, /*combiner=*/false);
 }
 
 TEST(ThreadCountSweep, SingleHotKey) {
@@ -648,13 +631,12 @@ TEST(ThreadCountSweep, SingleHotKey) {
   std::vector<mr::KV> records;
   records.reserve(2000);
   for (int i = 0; i < 2000; ++i) records.push_back({"only-key", std::to_string(i)});
-  run_thread_sweep(records, 4, 4, /*combiner=*/true,
-                   {mr::RunnerTuning{}, forced_full_tuning()});
+  run_thread_sweep(records, 4, 4, /*combiner=*/true);
 }
 
 TEST(ThreadCountSweep, MillionRecords) {
-  // Big enough (~8 MB) to trigger the real parallel spill sorts and
-  // range-split reduce merges at default tuning.
+  // Big enough (~8 MB) that each reduce merge (500k entries) takes the
+  // range-split parallel merge.
   std::uint64_t s = 24;
   std::vector<mr::KV> records;
   records.reserve(1000000);
@@ -667,7 +649,39 @@ TEST(ThreadCountSweep, MillionRecords) {
       records.push_back({std::move(key), "v"});
     }
   }
-  run_thread_sweep(records, 8, 2, /*combiner=*/false, {mr::RunnerTuning{}});
+  run_thread_sweep(records, 8, 2, /*combiner=*/false);
+}
+
+// --- spill-sort contract (DESIGN.md §15) -------------------------------------
+
+TEST(SpillSort, ComparisonsAreWholePartitionSerialSorts) {
+  // Partitions of about 37,500 entries: the runner sorts each one whole
+  // with sort_entries, so its count is the sum of those serial sorts at
+  // every thread count. Each partition is rebuilt here from its split's
+  // records in emit order.
+  constexpr int kSplits = 4;
+  constexpr int kReduces = 2;
+  const auto records = random_records(31, 300000);
+  std::int64_t expected = 0;
+  std::size_t largest = 0;
+  for (std::size_t m = 0; m < kSplits; ++m) {
+    std::vector<mr::KVBatch> parts(kReduces);
+    for (std::size_t i = records.size() * m / kSplits; i < records.size() * (m + 1) / kSplits;
+         ++i) {
+      parts[static_cast<std::size_t>(mr::default_partition(records[i].key, kReduces))].push(
+          records[i].key, records[i].value);
+    }
+    for (const mr::KVBatch& part : parts) {
+      std::vector<mr::KVBatch::Entry> entries(part.entries().begin(), part.entries().end());
+      largest = std::max(largest, entries.size());
+      expected += mr::sort_entries(entries);
+    }
+  }
+  ASSERT_GT(largest, std::size_t{32768});
+  for (const unsigned threads : {1u, 4u}) {
+    const auto got = mr::LocalJobRunner(threads).run(echo_spec(kReduces, false), records, kSplits);
+    EXPECT_EQ(got.stats.sort_comparisons, expected) << "threads " << threads;
+  }
 }
 
 // --- shared worker pool (DESIGN.md §15) --------------------------------------
@@ -680,7 +694,7 @@ TEST(SharedPool, ConcurrentJobsMatchSerialRuns) {
   const auto records_b = random_records(42, 1500);
   const auto spec_a = echo_spec(3, /*combiner=*/true);
   const auto spec_b = echo_spec(4, /*combiner=*/false);
-  const mr::LocalJobRunner serial(1, forced_full_tuning());
+  const mr::LocalJobRunner serial(1);
   const auto want_a = serial.run(spec_a, records_a, 6);
   const auto want_b = serial.run(spec_b, records_b, 5);
 
@@ -689,7 +703,7 @@ TEST(SharedPool, ConcurrentJobsMatchSerialRuns) {
   auto run_many = [](const mr::JobSpec& spec, const std::vector<mr::KV>& records, int splits,
                      std::vector<mr::JobResult>& out) {
     for (int k = 0; k < kRuns; ++k) {
-      const mr::LocalJobRunner runner(0, forced_full_tuning());
+      const mr::LocalJobRunner runner(0);
       out.push_back(runner.run(spec, records, splits));
     }
   };
