@@ -1,6 +1,7 @@
 #include "monitor/nmon.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,8 +12,8 @@ namespace vhadoop::monitor {
 NmonMonitor::NmonMonitor(virt::Cloud& cloud, net::Fabric& fabric, std::vector<virt::VmId> vms,
                          double interval_seconds)
     : cloud_(cloud), fabric_(fabric), vms_(std::move(vms)), interval_(interval_seconds) {
-  if (!(interval_seconds > 0.0)) {
-    throw std::invalid_argument("NmonMonitor: interval_seconds must be positive");
+  if (!(interval_seconds > 0.0) || !std::isfinite(interval_seconds)) {
+    throw std::invalid_argument("NmonMonitor: interval_seconds must be positive and finite");
   }
   prev_vm_cpu_integral_.assign(vms_.size(), 0.0);
   prev_vm_net_integral_.assign(vms_.size(), 0.0);

@@ -30,7 +30,8 @@ struct Sample {
 class NmonMonitor {
  public:
   /// Throws std::invalid_argument if `interval_seconds` is not positive
-  /// (a zero or negative period would spin the event loop forever).
+  /// and finite (a zero or negative period would spin the event loop
+  /// forever; an infinite one cannot be scheduled).
   NmonMonitor(virt::Cloud& cloud, net::Fabric& fabric, std::vector<virt::VmId> vms,
               double interval_seconds = 1.0);
 

@@ -110,10 +110,16 @@ void Engine::run() {
 }
 
 void Engine::sample_timeseries_every(SimTime period) {
+  // Checked before any state changes: an accepted +inf period would throw
+  // out of run() at the next tick, and a rejected first call must leave
+  // the sampler unarmed.
+  if (!std::isfinite(period)) {
+    throw std::invalid_argument("Engine::sample_timeseries_every: period must be finite");
+  }
   timeseries_period_ = period;
   if (period <= 0.0 || timeseries_armed_) return;
-  timeseries_armed_ = true;
   schedule_in(timeseries_period_, [this] { sample_timeseries_tick(); }, /*daemon=*/true);
+  timeseries_armed_ = true;
 }
 
 void Engine::sample_timeseries_tick() {

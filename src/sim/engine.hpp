@@ -94,7 +94,8 @@ class Engine {
   /// Sample every registered time series each `period` simulated seconds,
   /// via a self-re-arming daemon event (so an armed sampler never keeps
   /// run() alive). Calling again adjusts the period; period <= 0 stops the
-  /// chain at its next firing.
+  /// chain at its next firing. A NaN or infinite period throws
+  /// std::invalid_argument and changes nothing.
   void sample_timeseries_every(SimTime period);
 
  private:

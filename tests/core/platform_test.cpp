@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "ml/kmeans.hpp"
 #include "workloads/wordcount.hpp"
 #include "workloads/text_corpus.hpp"
@@ -112,6 +115,21 @@ TEST(Platform, MonitorAndTunerIntegration) {
     if (r.kind == tuner::Recommendation::Kind::IncreaseSortBuffer) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(Platform, RejectedMonitorIntervalAttachesNoMonitor) {
+  Platform p;
+  p.boot_cluster({.num_workers = 2});
+  EXPECT_THROW(p.attach_monitor(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(p.attach_monitor(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  try {
+    p.tune();
+    ADD_FAILURE() << "tune() without a monitor must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "Platform: attach a monitor first");
+  }
 }
 
 TEST(Platform, TunerRecommendationActuation) {

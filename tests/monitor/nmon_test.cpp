@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -115,6 +116,12 @@ TEST(Nmon, RejectsNonPositiveInterval) {
   EXPECT_THROW(NmonMonitor(*c->cloud, *c->fabric, c->workers, 0.0),
                std::invalid_argument);
   EXPECT_THROW(NmonMonitor(*c->cloud, *c->fabric, c->workers, -1.0),
+               std::invalid_argument);
+  EXPECT_THROW(NmonMonitor(*c->cloud, *c->fabric, c->workers,
+                           std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(NmonMonitor(*c->cloud, *c->fabric, c->workers,
+                           std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
 }
 

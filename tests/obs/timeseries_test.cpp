@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "sim/engine.hpp"
 #include "testutil/mini_json.hpp"
 
@@ -103,6 +106,30 @@ TEST(TimeSeries, EngineSamplerRunsOnCadenceWithoutHoldingRunOpen) {
   for (std::size_t i = 1; i < pts.size(); ++i) {
     EXPECT_DOUBLE_EQ(pts[i].t - pts[i - 1].t, 1.0);
   }
+}
+
+TEST(TimeSeries, EngineSamplerRejectsNonFinitePeriodWithoutChangingState) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // A rejected first call leaves the sampler unarmed: a later valid call
+  // still arms it.
+  sim::Engine fresh;
+  fresh.timeseries().add("x", [] { return 0.0; });
+  EXPECT_THROW(fresh.sample_timeseries_every(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  fresh.sample_timeseries_every(1.0);
+  fresh.schedule_at(5.5, [] {});
+  fresh.run();
+  EXPECT_EQ(fresh.timeseries().points("x").size(), 5u);
+
+  // An armed sampler keeps its period: no tick throws out of run().
+  sim::Engine armed;
+  armed.timeseries().add("x", [] { return 0.0; });
+  armed.sample_timeseries_every(1.0);
+  EXPECT_THROW(armed.sample_timeseries_every(kInf), std::invalid_argument);
+  EXPECT_THROW(armed.sample_timeseries_every(-kInf), std::invalid_argument);
+  armed.schedule_at(3.5, [] {});
+  EXPECT_NO_THROW(armed.run());
+  EXPECT_EQ(armed.timeseries().points("x").size(), 3u);
 }
 
 }  // namespace
