@@ -11,6 +11,7 @@
 // twice and the runs must be byte-identical (serialized trace + metrics
 // registry JSON) — any divergence exits 1. The run also asserts that the
 // deadline scheduler's aggregate SLO-miss rate beats FIFO's on each trace.
+// Any other argument prints the usage line and exits 2.
 //
 // Each row also carries the replay's heartbeats and fired events (gated:
 // deterministic) and its host cost: `host_s`, the wall seconds of the faster
@@ -21,6 +22,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -86,7 +88,13 @@ ReplayResult run_once(mapreduce::SchedulerPolicy policy, const workloads::Worklo
 int main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else {
+      std::fprintf(stderr, "tenant_day: unknown argument '%s'\n", argv[i]);
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+      return 2;
+    }
   }
 
   struct Scale {
