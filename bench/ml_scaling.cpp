@@ -309,10 +309,10 @@ std::vector<SweepConfig> build_sweep() {
   // arena/merge rewrite targets.
   add("minhash-1000000x2", "minhash", 1000000, 2, false, display(1000000), minhash);
   sweep.back().wall_reps = 3;
-  // The at-scale acceptance configuration (~20M shuffled records): spill
-  // sorts and reduce merges here are far past every parallel threshold, so
-  // this row exercises the run-split sorts and prefix-range merges end to
-  // end while the quick-tier rows cover millisecond jobs.
+  // The at-scale acceptance configuration (~20M shuffled records): its
+  // reduce merges pass kMergeRangeSplitMin, so this row exercises the
+  // key-range reduce merge end to end while the quick-tier rows cover
+  // millisecond jobs.
   add("minhash-10000000x2", "minhash", 10000000, 2, false, display(10000000), minhash);
 
   return sweep;

@@ -33,7 +33,8 @@ class Context {
   }
 
   /// Capacity hint for the expected number of emits (pass-through reducers
-  /// emit one record per merged input; see LocalJobRunner::run's reduce phase).
+  /// emit one record per input record; LocalJobRunner::run's reduce tasks
+  /// pass their input record count).
   void reserve(std::size_t records) {
     if (direct_) out_.reserve(records);
     else batch_.reserve_entries(records);
@@ -141,9 +142,9 @@ struct TaskProfile {
 /// exact functions of the job's records (no clocks, no addresses), so
 /// bench/ml_scaling can gate on them machine-independently. The comparison
 /// and arena counters come from LocalJobRunner's own sort/merge/arena code
-/// (kv_batch.hpp); the test oracle (tests/testutil/reference_runner.hpp)
-/// has none of that code, so it fills just the record/byte counters and
-/// leaves them zero.
+/// (kv_batch.hpp, reduce_merge.hpp); the test oracle
+/// (tests/testutil/reference_runner.hpp) has none of that code, so it fills
+/// just the record/byte counters and leaves them zero.
 struct DataPathStats {
   std::int64_t map_emit_records = 0;   ///< records emitted by all mappers
   std::int64_t map_emit_bytes = 0;     ///< logical bytes emitted by all mappers
@@ -154,7 +155,11 @@ struct DataPathStats {
   /// every thread count. The radix split's counting passes compare no keys
   /// and are not counted.
   std::int64_t sort_comparisons = 0;
-  std::int64_t merge_comparisons = 0;  ///< reduce-side k-way merge
+  /// Key comparisons of the reduce-side k-way merges (ReduceMerge): per
+  /// reduce partition, the sum over the key ranges of plan_merge_ranges,
+  /// each merged on its own heap. A function of the data alone, the same
+  /// at every thread count.
+  std::int64_t merge_comparisons = 0;
   std::int64_t arena_chunks = 0;       ///< map-side KVBatch chunks (spill + combiner arenas)
 };
 

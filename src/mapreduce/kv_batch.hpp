@@ -327,78 +327,4 @@ inline std::int64_t sort_entries(std::vector<KVBatch::Entry>& entries) {
   return sort_entries_range(entries.data(), n, scratch.data());
 }
 
-/// True k-way merge of key-sorted runs into the raw slot array `out`
-/// (which must hold at least the runs' total size; every slot up to that
-/// total is written exactly once). Ties resolve to the earlier run, then
-/// input order within a run — exactly the order a stable sort of the runs'
-/// concatenation produces, so outputs stay byte-identical to the reference
-/// path. Hand-rolled binary heap for deterministic comparison counts.
-/// Writing into caller-provided slots (rather than a vector) lets the
-/// parallel reduce merge give each key range its own disjoint output
-/// window. Returns the number of key comparisons.
-inline std::int64_t merge_runs_into(std::span<const std::span<const KVBatch::Entry>> runs,
-                                    KVBatch::Entry* out) {
-  struct Head {
-    const KVBatch::Entry* cur;
-    const KVBatch::Entry* end;
-    std::size_t run;
-  };
-  std::vector<Head> heap;
-  heap.reserve(runs.size());
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (!runs[r].empty()) heap.push_back({runs[r].data(), runs[r].data() + runs[r].size(), r});
-  }
-  if (heap.empty()) return 0;
-  if (heap.size() == 1) {
-    std::memcpy(out, heap[0].cur,
-                static_cast<std::size_t>(heap[0].end - heap[0].cur) * sizeof(KVBatch::Entry));
-    return 0;
-  }
-
-  std::int64_t comparisons = 0;
-  auto head_less = [&comparisons](const Head& x, const Head& y) {
-    ++comparisons;
-    const int c = compare_entries(*x.cur, *y.cur);
-    if (c != 0) return c < 0;
-    return x.run < y.run;
-  };
-  auto sift_down = [&](std::size_t i) {
-    const std::size_t n = heap.size();
-    while (true) {
-      std::size_t best = i;
-      const std::size_t l = 2 * i + 1, r = 2 * i + 2;
-      if (l < n && head_less(heap[l], heap[best])) best = l;
-      if (r < n && head_less(heap[r], heap[best])) best = r;
-      if (best == i) return;
-      std::swap(heap[i], heap[best]);
-      i = best;
-    }
-  };
-  for (std::size_t i = heap.size() / 2; i-- > 0;) sift_down(i);
-
-  std::size_t o = 0;
-  while (!heap.empty()) {
-    Head& top = heap[0];
-    out[o++] = *top.cur;
-    ++top.cur;
-    if (top.cur == top.end) {
-      heap[0] = heap.back();
-      heap.pop_back();
-      if (heap.empty()) break;
-    }
-    if (heap.size() > 1) sift_down(0);
-  }
-  return comparisons;
-}
-
-/// Vector-output convenience wrapper over merge_runs_into.
-inline std::int64_t merge_runs(std::span<const std::span<const KVBatch::Entry>> runs,
-                               std::vector<KVBatch::Entry>& out) {
-  std::size_t total = 0;
-  for (const auto& r : runs) total += r.size();
-  out.clear();
-  out.resize(total);
-  return merge_runs_into(runs, out.data());
-}
-
 }  // namespace vhadoop::mapreduce

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "mapreduce/kv_batch.hpp"
-#include "mapreduce/parallel_merge.hpp"
+#include "mapreduce/reduce_merge.hpp"
 #include "mapreduce/thread_pool.hpp"
 
 namespace vhadoop::mapreduce {
@@ -31,24 +31,23 @@ int clamp_splits(int num_splits, unsigned threads, std::size_t input_size) {
 
 namespace {
 
-/// Group a key-sorted entry run (equal keys are adjacent) and feed each
-/// group to `reducer`, collecting output in `ctx`. Key equality is
-/// compare_entries == 0, the same rule that sorted the run.
-void reduce_entries_into(Reducer& reducer, std::span<const KVBatch::Entry> sorted, Context& ctx) {
+/// Group a key-ordered entry stream (equal keys are adjacent) and feed each
+/// group to `reducer`, collecting output in `ctx`. `in.next()` yields the
+/// entries in order, then nullptr. Key equality is compare_entries == 0, the
+/// same rule that ordered the stream.
+template <class Cursor>
+void reduce_entries_into(Reducer& reducer, Cursor& in, Context& ctx) {
   reducer.setup(ctx);
-  std::size_t i = 0;
   std::vector<std::string_view> values;
-  while (i < sorted.size()) {
-    const KVBatch::Entry& first = sorted[i];
-    const std::string_view key = first.key();
-    std::size_t j = i;
+  const KVBatch::Entry* e = in.next();
+  while (e != nullptr) {
+    const KVBatch::Entry& first = *e;
     values.clear();
-    while (j < sorted.size() && compare_entries(sorted[j], first) == 0) {
-      values.push_back(sorted[j].value());
-      ++j;
-    }
-    reducer.reduce(key, values, ctx);
-    i = j;
+    do {
+      values.push_back(e->value());
+      e = in.next();
+    } while (e != nullptr && compare_entries(*e, first) == 0);
+    reducer.reduce(first.key(), values, ctx);
   }
   reducer.cleanup(ctx);
 }
@@ -176,7 +175,9 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
       auto& part = map_out[m].parts[p];
       auto combiner = spec.combiner();
       Context cctx;
-      reduce_entries_into(*combiner, part, cctx);
+      const std::span<const KVBatch::Entry> run = part;
+      MergeCursor in({&run, 1});
+      reduce_entries_into(*combiner, in, cctx);
       map_out[m].combined[p] = cctx.take_batch();
       const KVBatch& cb = map_out[m].combined[p];
       combiner_chunks[m * uR + p] = cb.chunks_allocated();
@@ -218,59 +219,39 @@ JobResult LocalJobRunner::run(const JobSpec& spec, std::span<const KV> input,
     }
   }
 
-  // --- phase E: reduce merges ----------------------------------------------
-  // True k-way merge of the per-map sorted runs; ties resolve to the earlier
-  // map then within-run order, which is exactly the order the reference
-  // oracle's stable sort of the concatenation produces. Small merges batch
-  // across the pool; a merge over more than kMergeRangeSplitMin entries
-  // runs at top level so the prefix-range parallel merge can use the pool —
-  // one huge partition no longer serializes the reduce side.
-  std::vector<std::vector<KVBatch::Entry>> merged(uR);
+  // --- phase E: reduce -----------------------------------------------------
+  // One task per reduce partition, side by side on the pool. Each creates
+  // its reducer and pulls the reducer's input straight from the per-map
+  // sorted runs through ReduceMerge, as Hadoop's final merge feeds the
+  // reduce task's iterator: no merged copy is written out. Ties resolve to
+  // the earlier map then within-run order, which is exactly the order the
+  // reference oracle's stable sort of the concatenation produces. A merge
+  // runs on its task's thread (DESIGN.md §15).
   std::vector<TaskProfile> reduce_profiles(uR);
   std::vector<std::int64_t> merge_comparisons(uR, 0);
-  {
-    std::vector<std::size_t> reduce_total(uR, 0);
-    for (std::size_t r = 0; r < uR; ++r) {
-      for (std::size_t m = 0; m < uS; ++m) reduce_total[r] += map_out[m].parts[r].size();
-    }
-    auto merge_one = [&](std::size_t r) {
-      TaskProfile& prof = reduce_profiles[r];
-      std::vector<std::span<const KVBatch::Entry>> runs;
-      runs.reserve(uS);
-      for (std::size_t m = 0; m < uS; ++m) {
-        const auto& part = map_out[m].parts[r];
-        prof.input_records += static_cast<std::int64_t>(part.size());
-        prof.input_bytes += map_out[m].part_bytes[r];
-        runs.push_back(part);
-      }
-      merge_comparisons[r] = parallel_merge_runs(runs, merged[r], kMergeRangeSplitMin, pool);
-      // The per-map runs for this reduce are dead now; release them so the
-      // peak footprint is merged + arenas, not 2x the entry arrays.
-      for (std::size_t m = 0; m < uS; ++m) {
-        auto& part = map_out[m].parts[r];
-        part.clear();
-        part.shrink_to_fit();
-      }
-    };
-    std::vector<std::size_t> small_r, large_r;
-    for (std::size_t r = 0; r < uR; ++r) {
-      (reduce_total[r] <= kMergeRangeSplitMin ? small_r : large_r).push_back(r);
-    }
-    pool.parallel_for(small_r.size(), [&](std::size_t i) { merge_one(small_r[i]); });
-    for (const std::size_t r : large_r) merge_one(r);
-  }
-
-  // --- phase F: reduce user code -------------------------------------------
   std::vector<std::vector<KV>> reduce_out(uR);
   pool.parallel_for(uR, [&](std::size_t r) {
-    TaskProfile& prof = reduce_profiles[r];
     auto reducer = spec.reducer();
+    TaskProfile& prof = reduce_profiles[r];
+    std::vector<std::span<const KVBatch::Entry>> runs;
+    runs.reserve(uS);
+    for (std::size_t m = 0; m < uS; ++m) {
+      const auto& part = map_out[m].parts[r];
+      prof.input_records += static_cast<std::int64_t>(part.size());
+      prof.input_bytes += map_out[m].part_bytes[r];
+      runs.push_back(part);
+    }
     Context ctx;
     // Reduce output becomes JobResult::output (owning strings): materialize
     // directly rather than round-tripping every record through an arena.
     ctx.materialize_direct();
-    ctx.reserve(merged[r].size());
-    reduce_entries_into(*reducer, merged[r], ctx);
+    ctx.reserve(static_cast<std::size_t>(prof.input_records));
+    ReduceMerge merged(runs);
+    reduce_entries_into(*reducer, merged, ctx);
+    merge_comparisons[r] = merged.comparisons();
+    // This partition's per-map runs are dead now; release them so the peak
+    // footprint holds the runs of unfinished reduces only.
+    for (std::size_t m = 0; m < uS; ++m) std::vector<KVBatch::Entry>().swap(map_out[m].parts[r]);
     reduce_out[r] = ctx.take_output();
     for (const KV& rec : reduce_out[r]) {
       ++prof.output_records;

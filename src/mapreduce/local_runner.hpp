@@ -17,8 +17,9 @@ namespace vhadoop::mapreduce {
 /// timing. Correctness is real; only wall-clock is modeled.
 ///
 /// Records stay in arena-backed KVBatch chunks end to end: index sorts with
-/// an 8-byte key-prefix fast path, a true k-way merge feeding reducers, and
-/// shuffle bytes accounted during partitioning (DESIGN.md §11). The
+/// an 8-byte key-prefix fast path, a k-way merge that each reduce task pulls
+/// its reducer's input from, with no merged copy in between, and shuffle
+/// bytes accounted during partitioning (DESIGN.md §11, §15). The
 /// original std::vector<KV> implementation lives on as a test oracle
 /// (tests/testutil/reference_runner.hpp); the equivalence suite and
 /// bench/ml_scaling assert that outputs, profiles and shuffle accounting

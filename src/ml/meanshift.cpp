@@ -132,7 +132,9 @@ class MeanShiftReducer : public mapreduce::Reducer {
     }
     const FlatCanopies out = shift_and_merge(all, t1_, t2_);
     for (std::size_t i = 0; i < out.size(); ++i) {
-      ctx.emit("c" + std::to_string(i), encode_canopy(out.weights[i], out.center(i)));
+      std::string key = "c";
+      key += std::to_string(i);
+      ctx.emit(key, encode_canopy(out.weights[i], out.center(i)));
     }
   }
 

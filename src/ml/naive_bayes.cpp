@@ -220,7 +220,8 @@ std::vector<LabeledDoc> synthetic_labeled_corpus(int classes, int docs_per_class
         // 80% class-specific window, 20% shared stop-words.
         const std::size_t rank = zipf.sample(rng);
         if (rng.uniform() < 0.8) {
-          doc.tokens.push_back("w" + std::to_string(c * 1000 + static_cast<int>(rank)));
+          std::string& token = doc.tokens.emplace_back("w");
+          token += std::to_string(c * 1000 + static_cast<int>(rank));
         } else {
           doc.tokens.push_back("stop" + std::to_string(rank % 20));
         }

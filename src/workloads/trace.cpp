@@ -300,7 +300,8 @@ WorkloadTrace generate_trace(const TraceGenConfig& config) {
     r.arrival_seconds = at[static_cast<std::size_t>(j)];
     const int tenant =
         static_cast<int>(mix.uniform_int(static_cast<std::uint64_t>(config.num_tenants)));
-    r.tenant = "t" + std::to_string(tenant);
+    r.tenant = "t";
+    r.tenant += std::to_string(tenant);
     const bool interactive = tenant < interactive_tenants;
     if (interactive) {
       r.queue = "interactive";

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 
 #include "mapreduce/kv_batch.hpp"
 #include "mapreduce/local_runner.hpp"
+#include "mapreduce/reduce_merge.hpp"
 #include "testutil/reference_runner.hpp"
 
 namespace mr = vhadoop::mapreduce;
@@ -380,6 +383,15 @@ TEST(KVBatch, ReleaseIndexKeepsArenaBytes) {
   }
 }
 
+/// Every entry `in` yields, in order, after checking the heap's key
+/// comparisons over the whole merge against `comparisons`.
+std::vector<mr::KVBatch::Entry> drain(mr::MergeCursor in, std::int64_t comparisons) {
+  std::vector<mr::KVBatch::Entry> out;
+  while (const mr::KVBatch::Entry* e = in.next()) out.push_back(*e);
+  EXPECT_EQ(in.comparisons(), comparisons);
+  return out;
+}
+
 TEST(KVBatch, MergeRunsMatchesStableSortOfConcatenation) {
   mr::KVBatch batch;
   const auto keys = tricky_keys();
@@ -403,8 +415,7 @@ TEST(KVBatch, MergeRunsMatchesStableSortOfConcatenation) {
                    [](const auto& a, const auto& b) { return a.key() < b.key(); });
 
   std::vector<std::span<const mr::KVBatch::Entry>> spans(runs.begin(), runs.end());
-  std::vector<mr::KVBatch::Entry> merged;
-  mr::merge_runs(spans, merged);
+  const auto merged = drain(mr::MergeCursor(spans), 834);
   ASSERT_EQ(merged.size(), all.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_EQ(merged[i].key(), all[i].key()) << i;
@@ -413,16 +424,17 @@ TEST(KVBatch, MergeRunsMatchesStableSortOfConcatenation) {
 }
 
 TEST(KVBatch, MergeRunsHandlesEmptyAndSingleRuns) {
-  std::vector<mr::KVBatch::Entry> merged;
-  EXPECT_EQ(mr::merge_runs({}, merged), 0);
-  EXPECT_TRUE(merged.empty());
+  EXPECT_TRUE(drain(mr::MergeCursor({}), 0).empty());
+  const std::vector<std::span<const mr::KVBatch::Entry>> empties{{}, {}};
+  EXPECT_TRUE(drain(mr::MergeCursor(empties), 0).empty());
 
   mr::KVBatch batch;
   batch.push("a", "1");
   batch.push("b", "2");
   std::vector<mr::KVBatch::Entry> run(batch.entries().begin(), batch.entries().end());
   std::vector<std::span<const mr::KVBatch::Entry>> spans{{}, run, {}};
-  EXPECT_EQ(mr::merge_runs(spans, merged), 0);  // single non-empty run: no comparisons
+  // Single non-empty run: no comparisons.
+  const auto merged = drain(mr::MergeCursor(spans), 0);
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0].key(), "a");
   EXPECT_EQ(merged[1].key(), "b");
@@ -635,8 +647,8 @@ TEST(ThreadCountSweep, SingleHotKey) {
 }
 
 TEST(ThreadCountSweep, MillionRecords) {
-  // Big enough (~8 MB) that each reduce merge (500k entries) takes the
-  // range-split parallel merge.
+  // Big enough (~8 MB) that each reduce merge (500k entries) is cut into
+  // key ranges.
   std::uint64_t s = 24;
   std::vector<mr::KV> records;
   records.reserve(1000000);
@@ -681,6 +693,69 @@ TEST(SpillSort, ComparisonsAreWholePartitionSerialSorts) {
   for (const unsigned threads : {1u, 4u}) {
     const auto got = mr::LocalJobRunner(threads).run(echo_spec(kReduces, false), records, kSplits);
     EXPECT_EQ(got.stats.sort_comparisons, expected) << "threads " << threads;
+  }
+}
+
+// --- streamed reduce (DESIGN.md §15) -----------------------------------------
+
+/// What a reduce task handed its reducer: setup and cleanup calls, and each
+/// reduce call's key with its number of values.
+struct ReduceLog {
+  int setups = 0;
+  int cleanups = 0;
+  std::vector<std::pair<std::string, std::size_t>> groups;
+};
+
+class LoggingReducer : public mr::Reducer {
+ public:
+  explicit LoggingReducer(ReduceLog& log) : log_(log) {}
+  void setup(mr::Context&) override { ++log_.setups; }
+  void reduce(std::string_view key, const std::vector<std::string_view>& values,
+              mr::Context&) override {
+    log_.groups.emplace_back(std::string(key), values.size());
+  }
+  void cleanup(mr::Context&) override { ++log_.cleanups; }
+
+ private:
+  ReduceLog& log_;
+};
+
+TEST(StreamedReduce, OneReducerReadsEveryKeyRangeInOrder) {
+  // One reduce partition past kMergeRangeSplitMin entries: its merge is cut
+  // into key ranges, which the one reduce task merges one after another
+  // into the same reducer.
+  constexpr std::size_t kRecords = 300000;
+  ASSERT_GE(mr::run_split_count(kRecords, mr::kMergeRangeSplitMin), 2u);
+  std::uint64_t s = 51;
+  std::vector<mr::KV> records;
+  std::map<std::string, std::size_t> values_per_key;
+  records.reserve(kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    std::string key = "key-";
+    key += std::to_string(splitmix(s) % 40000);
+    ++values_per_key[key];
+    records.push_back({std::move(key), "v"});
+  }
+  const std::vector<std::pair<std::string, std::size_t>> want(values_per_key.begin(),
+                                                              values_per_key.end());
+  std::optional<std::int64_t> merge_comparisons;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    ReduceLog log;
+    mr::JobSpec spec = echo_spec(1, /*combiner=*/false);
+    spec.reducer = [&log] { return std::make_unique<LoggingReducer>(log); };
+    const auto got = mr::LocalJobRunner(threads).run(spec, records, 4);
+    EXPECT_EQ(log.setups, 1);
+    EXPECT_EQ(log.cleanups, 1);
+    const auto not_ascending = std::adjacent_find(
+        log.groups.begin(), log.groups.end(),
+        [](const auto& a, const auto& b) { return !(a.first < b.first); });
+    EXPECT_EQ(not_ascending, log.groups.end());
+    // Each key's one call holds every value of that key.
+    EXPECT_EQ(log.groups, want);
+    EXPECT_EQ(got.stats.shuffle_records, static_cast<std::int64_t>(kRecords));
+    if (!merge_comparisons) merge_comparisons = got.stats.merge_comparisons;
+    EXPECT_EQ(got.stats.merge_comparisons, *merge_comparisons);
   }
 }
 

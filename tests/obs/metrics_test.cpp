@@ -177,7 +177,10 @@ TEST(Registry, SnapshotKeysAreStrictlySortedRegardlessOfRegistrationOrder) {
   }
   const std::string json = r.to_json();
   for (const char* section : {"counters", "gauges", "histograms"}) {
-    const std::size_t base = json.find("\"" + std::string(section) + "\":");
+    std::string key = "\"";
+    key += section;
+    key += "\":";
+    const std::size_t base = json.find(key);
     ASSERT_NE(base, std::string::npos) << section;
     const std::size_t a = json.find("\"a.first\"", base);
     const std::size_t m = json.find("\"m.middle\"", base);

@@ -531,7 +531,9 @@ TEST_P(FluidPropertyTest, RatesNeverExceedCapacitiesNorCaps) {
 
   std::vector<FluidModel::ResourceId> res;
   for (int i = 0; i < p.n_resources; ++i) {
-    res.push_back(model.add_resource("r" + std::to_string(i), rng.uniform(10.0, 200.0)));
+    std::string name = "r";
+    name += std::to_string(i);
+    res.push_back(model.add_resource(name, rng.uniform(10.0, 200.0)));
   }
   std::vector<FluidModel::ActivityId> acts;
   for (int i = 0; i < p.n_activities; ++i) {

@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -184,16 +185,32 @@ class JsonParser {
     }
   }
 
+  /// JSON's number grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// ending at a delimiter: "07", "1.2.3" or "1-2" is one malformed number,
+  /// not a number followed by something else.
   JsonValue number() {
-    std::size_t start = pos_;
-    if (peek() == '-') get();
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    const std::size_t start = pos_;
+    const auto at = [this](const char* chars) {
+      return pos_ < text_.size() && text_[pos_] != '\0' && std::strchr(chars, text_[pos_]);
+    };
+    const auto digits = [&] {
+      if (!at("0123456789")) fail("bad number");
+      while (at("0123456789")) ++pos_;
+    };
+    if (!at("-0123456789")) fail("expected a value");
+    if (at("-")) ++pos_;
+    if (at("0")) ++pos_;
+    else digits();
+    if (at(".")) {
       ++pos_;
+      digits();
     }
-    if (pos_ == start) fail("expected a value");
+    if (at("eE")) {
+      ++pos_;
+      if (at("+-")) ++pos_;
+      digits();
+    }
+    if (at("0123456789.eE+-")) fail("bad number");
     JsonValue v;
     v.type = JsonValue::Type::Number;
     v.number = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);

@@ -61,7 +61,9 @@ TEST_F(PageCacheTest, UnkeyedIoNeverCached) {
 TEST_F(PageCacheTest, LruEvictionUnderPressure) {
   // Cache is 300 MB: writing five 100 MB keys evicts the oldest ones.
   for (int i = 0; i < 5; ++i) {
-    cloud.disk_write(vm, 100 * sim::kMiB, nullptr, 1.0, "k" + std::to_string(i));
+    std::string key = "k";
+    key += std::to_string(i);
+    cloud.disk_write(vm, 100 * sim::kMiB, nullptr, 1.0, key);
     engine.run();
   }
   EXPECT_FALSE(cloud.cached(vm, "k0"));
