@@ -147,7 +147,6 @@ class Platform {
   virt::VmId namenode() const { return namenode_; }
   const std::vector<virt::VmId>& workers() const { return workers_; }
   std::vector<virt::VmId> all_vms() const;
-  const ClusterSpec& cluster_spec() const { return spec_; }
 
  private:
   /// Register process/thread names for a VM's trace lanes.

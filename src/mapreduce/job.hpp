@@ -47,7 +47,6 @@ class Context {
   std::size_t emitted_bytes() const { return direct_ ? direct_bytes_ : batch_.total_bytes(); }
 
   /// Arena-backed output — the optimized data path consumes this directly.
-  const KVBatch& batch() const { return batch_; }
   KVBatch take_batch() { return std::move(batch_); }
 
   /// Materialize records as owning strings (final reduce output, the test

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/latch.hpp"
 
@@ -51,27 +52,32 @@ SimulatedJobRunner::SimulatedJobRunner(virt::Cloud& cloud, hdfs::HdfsCluster& hd
   cloud_.on_crash([this](virt::VmId vm) { on_vm_crash(vm); });
 }
 
-int SimulatedJobRunner::acquire_slot(std::vector<bool>& busy, int base) {
-  for (std::size_t k = 0; k < busy.size(); ++k) {
-    if (!busy[k]) {
-      busy[k] = true;
-      return base + static_cast<int>(k);
-    }
-  }
-  busy.push_back(true);
-  return base + static_cast<int>(busy.size()) - 1;
+int SimulatedJobRunner::take_slot(ActiveJob& job, SlotKind kind, std::size_t i) {
+  Tracker& tr = trackers_[i];
+  const bool map = kind == SlotKind::Map;
+  --(map ? tr.free_map_slots : tr.free_reduce_slots);
+  ++tr.running;
+  ++(map ? job.running_maps : job.running_reduces);
+  // The attempt's trace lane: the lowest free one of its kind, grown
+  // defensively.
+  std::vector<bool>& busy = map ? tr.map_slot_busy : tr.reduce_slot_busy;
+  const int base = map ? 0 : config_.map_slots_per_worker;
+  auto lane = std::find(busy.begin(), busy.end(), false);
+  if (lane == busy.end()) lane = busy.insert(busy.end(), false);
+  *lane = true;
+  return base + static_cast<int>(lane - busy.begin());
 }
 
-void SimulatedJobRunner::release_slot(std::size_t tracker_idx, int tid) {
-  if (tid < 0) return;
-  Tracker& tr = trackers_[tracker_idx];
-  const int reduce_base = config_.map_slots_per_worker;
-  if (tid < reduce_base) {
-    if (static_cast<std::size_t>(tid) < tr.map_slot_busy.size()) tr.map_slot_busy[tid] = false;
-  } else {
-    const std::size_t k = static_cast<std::size_t>(tid - reduce_base);
-    if (k < tr.reduce_slot_busy.size()) tr.reduce_slot_busy[k] = false;
-  }
+void SimulatedJobRunner::give_slot(ActiveJob& job, SlotKind kind, std::size_t i, int tid) {
+  const bool map = kind == SlotKind::Map;
+  --(map ? job.running_maps : job.running_reduces);
+  Tracker& tr = trackers_[i];
+  if (!tr.alive) return;
+  ++(map ? tr.free_map_slots : tr.free_reduce_slots);
+  --tr.running;
+  const int base = map ? 0 : config_.map_slots_per_worker;
+  (map ? tr.map_slot_busy : tr.reduce_slot_busy)[static_cast<std::size_t>(tid - base)] = false;
+  // Close any spans a dropped continuation chain left open on the lane.
   tracer().end_all(static_cast<int>(tr.vm), tid);
 }
 
@@ -364,18 +370,12 @@ void SimulatedJobRunner::maybe_assign_map(std::size_t i) {
   if (!found_node_local && rack_pos != kNone) chosen_pos = rack_pos;
   const std::size_t m = job.pending_maps[chosen_pos];
   job.pending_maps.erase(job.pending_maps.begin() + static_cast<std::ptrdiff_t>(chosen_pos));
-  --tr.free_map_slots;
-  ++tr.running;
-  ++job.running_maps;
   job.locality_wait_since = -1.0;  // granted a slot: the delay clock resets
-  h_map_slot_share_->observe(static_cast<double>(job.running_maps));
   note_job_started(job);
-  job.maps[m].tracker = i;
-  job.maps[m].tid[0] = acquire_slot(tr.map_slot_busy, 0);
   job.timeline.maps[m].vm = tr.vm;
   job.timeline.maps[m].assigned = cloud_.engine().now();
-  arm_map_watchdog(job, m, i, job.maps[m].attempt, 0);
-  run_map(job, m, i, job.maps[m].attempt, 0, job.maps[m].tid[0]);
+  run_map(job, m, i, 0);
+  h_map_slot_share_->observe(static_cast<double>(job.running_maps));
 }
 
 void SimulatedJobRunner::maybe_speculate(std::size_t i) {
@@ -397,23 +397,18 @@ void SimulatedJobRunner::maybe_speculate(std::size_t i) {
     mean /= static_cast<double>(n);
 
     for (std::size_t m = 0; m < job.maps.size(); ++m) {
-      MapState& ms = job.maps[m];
-      if (ms.done || ms.tracker == kNone || ms.spec_tracker != kNone || ms.tracker == i) continue;
+      const MapState& ms = job.maps[m];
+      if (ms.done || ms.tracker[0] == kNone || ms.tracker[1] != kNone || ms.tracker[0] == i) {
+        continue;
+      }
       const double running_for = cloud_.engine().now() - job.timeline.maps[m].assigned;
       if (running_for < config_.speculative_slowdown * mean) continue;
-      Tracker& tr = trackers_[i];
-      --tr.free_map_slots;
-      ++tr.running;
-      ++job.running_maps;
-      ms.spec_tracker = i;
-      ms.tid[1] = acquire_slot(tr.map_slot_busy, 0);
       ++reexecuted_maps_;
       m_reexecutions_->inc();
       m_speculative_launched_->inc();
       // The duplicate races the original under the same attempt number; the
       // first finisher wins and the loser's chain is invalidated.
-      arm_map_watchdog(job, m, i, ms.attempt, 1);
-      run_map(job, m, i, ms.attempt, 1, ms.tid[1]);
+      run_map(job, m, i, 1);
       return;  // at most one speculative launch per heartbeat
     }
   }
@@ -433,26 +428,28 @@ void SimulatedJobRunner::maybe_assign_reduce(std::size_t i) {
     r = job.next_reduce;
     ++job.next_reduce;
   }
-  --tr.free_reduce_slots;
-  ++tr.running;
-  ++job.running_reduces;
   note_job_started(job);
-  ReduceState& rs = job.reduces[r];
-  rs.assigned = true;
-  rs.tracker = i;
-  rs.tid = acquire_slot(tr.reduce_slot_busy, config_.map_slots_per_worker);
-  rs.last_progress = cloud_.engine().now();
   job.timeline.reduces[r].vm = tr.vm;
   job.timeline.reduces[r].assigned = cloud_.engine().now();
-  arm_reduce_watchdog(job, r, rs.attempt);
-  run_reduce(job, r, i, rs.attempt, rs.tid);
+  run_reduce(job, r, i);
 }
 
-void SimulatedJobRunner::run_map(ActiveJob& job0, std::size_t m, std::size_t i, int attempt,
-                                 int slot, int tid) {
+void SimulatedJobRunner::run_map(ActiveJob& job0, std::size_t m, std::size_t i, int slot) {
+  MapState& ms = job0.maps[m];
   const auto id = job0.id;
+  const int attempt = ms.attempt;
   const virt::VmId vm = trackers_[i].vm;
   auto G = [this, id, m, attempt](JobFn fn) { return map_guard(id, m, attempt, std::move(fn)); };
+  const int tid = take_slot(job0, SlotKind::Map, i);
+  ms.tracker[slot] = i;
+  ms.tid[slot] = tid;
+  // Task timeout: write the attempt off, and requeue the map unless the
+  // attempt in the other slot still races.
+  ms.watchdog[slot] = cloud_.engine().schedule_in(
+      config_.task_timeout_seconds, G([this, m, slot](ActiveJob& job) {
+        job.maps[m].watchdog[slot] = {};  // fired
+        if (!drop_map_attempt(job, m, slot)) requeue_map(job, m);
+      }));
   m_map_attempts_->inc();
   const int pid = static_cast<int>(vm);
   if (tracer().enabled()) {
@@ -461,7 +458,7 @@ void SimulatedJobRunner::run_map(ActiveJob& job0, std::size_t m, std::size_t i, 
                        "map-" + std::to_string(m) +
                            (attempt > 0 ? "/a" + std::to_string(attempt) : ""),
                        "map", id);
-    job0.maps[m].span[slot] = task_span;
+    ms.span[slot] = task_span;
     tracer().cause(job0.root_span, task_span, "dispatch");
   }
 
@@ -594,41 +591,50 @@ void SimulatedJobRunner::localize(ActiveJob& job, virt::VmId vm, std::function<v
   });
 }
 
+bool SimulatedJobRunner::drop_map_attempt(ActiveJob& job, std::size_t m, int slot) {
+  MapState& ms = job.maps[m];
+  cloud_.engine().cancel(std::exchange(ms.watchdog[slot], {}));
+  give_slot(job, SlotKind::Map, ms.tracker[slot], ms.tid[slot]);
+  ms.tracker[slot] = kNone;
+  ms.tid[slot] = -1;
+  ms.span[slot] = 0;
+  return ms.tracker[1 - slot] != kNone;
+}
+
+void SimulatedJobRunner::requeue_map(ActiveJob& job, std::size_t m) {
+  MapState& ms = job.maps[m];
+  if (ms.done) {
+    ms.done = false;
+    ms.done_span = 0;  // the re-run's winner sources future shuffle edges
+    --job.maps_done;
+  }
+  ++ms.attempt;  // invalidates every continuation still in flight
+  ++reexecuted_maps_;
+  m_reexecutions_->inc();
+  job.pending_maps.push_back(m);
+}
+
 void SimulatedJobRunner::finish_map(ActiveJob& job, std::size_t m, std::size_t i) {
   MapState& ms = job.maps[m];
   if (ms.done) return;  // a speculative loser crossing the line
-  if (ms.tracker != i && ms.spec_tracker != i) {
-    // This attempt was already written off (timeout freed its slot); a
-    // late completion must not double-release.
-    return;
-  }
+  // A late completion of an attempt already written off (a timeout freed
+  // its slot) must not release anything twice.
+  const int win = ms.tracker[0] == i ? 0 : 1;
+  if (ms.tracker[win] != i) return;
   ms.done = true;
   ms.output_vm = trackers_[i].vm;
-  cancel_map_watchdogs(job, m);
-  if (ms.spec_tracker == i) m_speculative_wins_->inc();
-
-  // Free the winner's slot, and kill the losing attempt if one is racing.
-  auto release = [this, &job](std::size_t t, int tid) {
-    release_slot(t, tid);
-    ++trackers_[t].free_map_slots;
-    --trackers_[t].running;
-    --job.running_maps;
-    out_of_band_heartbeat(t);
-  };
-  const int my_tid = (ms.tracker == i) ? ms.tid[0] : ms.tid[1];
-  const int other_tid = (ms.tracker == i) ? ms.tid[1] : ms.tid[0];
+  if (win == 1) m_speculative_wins_->inc();
   // The winner's span becomes the source of this map's shuffle edges.
-  ms.done_span = (ms.tracker == i) ? ms.span[0] : ms.span[1];
-  release(i, my_tid);
-  const std::size_t other = (ms.tracker == i) ? ms.spec_tracker : ms.tracker;
-  if (other != kNone && other != i) {
+  ms.done_span = ms.span[win];
+  // Free the winner's slot, and kill the losing attempt if one is racing.
+  drop_map_attempt(job, m, win);
+  out_of_band_heartbeat(i);
+  const std::size_t loser = ms.tracker[1 - win];
+  if (loser != kNone) {
     ++ms.attempt;  // invalidates the loser's continuation chain
-    if (trackers_[other].alive) release(other, other_tid);
+    drop_map_attempt(job, m, 1 - win);
+    out_of_band_heartbeat(loser);
   }
-  ms.tracker = i;
-  ms.spec_tracker = kNone;
-  ms.tid[0] = ms.tid[1] = -1;
-  ms.span[0] = ms.span[1] = 0;
 
   job.timeline.maps[m].vm = trackers_[i].vm;
   job.timeline.maps[m].finished = cloud_.engine().now();
@@ -641,11 +647,18 @@ void SimulatedJobRunner::finish_map(ActiveJob& job, std::size_t m, std::size_t i
   maybe_finish_job(job);
 }
 
-void SimulatedJobRunner::run_reduce(ActiveJob& job0, std::size_t r, std::size_t i, int attempt,
-                                    int tid) {
+void SimulatedJobRunner::run_reduce(ActiveJob& job0, std::size_t r, std::size_t i) {
+  ReduceState& rs = job0.reduces[r];
   const auto id = job0.id;
+  const int attempt = rs.attempt;
   const virt::VmId vm = trackers_[i].vm;
   auto G = [this, id, r, attempt](JobFn fn) { return reduce_guard(id, r, attempt, std::move(fn)); };
+  const int tid = take_slot(job0, SlotKind::Reduce, i);
+  rs.assigned = true;
+  rs.tracker = i;
+  rs.tid = tid;
+  rs.last_progress = cloud_.engine().now();
+  arm_reduce_watchdog(job0, r);
   m_reduce_attempts_->inc();
   const int pid = static_cast<int>(vm);
   if (tracer().enabled()) {
@@ -654,7 +667,7 @@ void SimulatedJobRunner::run_reduce(ActiveJob& job0, std::size_t r, std::size_t 
                        "reduce-" + std::to_string(r) +
                            (attempt > 0 ? "/a" + std::to_string(attempt) : ""),
                        "reduce", id);
-    job0.reduces[r].span = task_span;
+    rs.span = task_span;
     tracer().cause(job0.root_span, task_span, "dispatch");
   }
   cloud_.engine().schedule_in(config_.task_start_latency, G([this, r, vm, pid, tid,
@@ -683,21 +696,6 @@ void SimulatedJobRunner::run_reduce(ActiveJob& job0, std::size_t r, std::size_t 
   }));
 }
 
-void SimulatedJobRunner::mark_map_lost(ActiveJob& job, std::size_t m) {
-  MapState& ms = job.maps[m];
-  if (!ms.done) return;  // already re-executing
-  ms.done = false;
-  --job.maps_done;
-  ++ms.attempt;
-  ms.tracker = kNone;
-  ms.spec_tracker = kNone;
-  ms.done_span = 0;  // the re-run's winner sources future shuffle edges
-  cancel_map_watchdogs(job, m);
-  ++reexecuted_maps_;
-  m_reexecutions_->inc();
-  job.pending_maps.push_back(m);
-}
-
 void SimulatedJobRunner::start_fetch(ActiveJob& job, std::size_t m, std::size_t r) {
   ReduceState& rs = job.reduces[r];
   if (rs.fetched[m]) return;  // already have this partition
@@ -717,8 +715,10 @@ void SimulatedJobRunner::pump_fetches(ActiveJob& job, std::size_t r) {
     const virt::VmId red_vm = job.timeline.reduces[r].vm;
     if (bytes > 0.0 && !cloud_.alive(map_vm)) {
       // Fetch failure against a dead node: the map output is gone for good;
-      // re-execute the map (the re-run's finish re-feeds this reducer).
-      mark_map_lost(job, m);
+      // re-execute the map (the re-run's finish re-feeds this reducer) —
+      // Hadoop's "too many fetch failures". A map already re-executing
+      // stays as it is.
+      if (job.maps[m].done) requeue_map(job, m);
       continue;
     }
     ++rs.copiers;
@@ -825,16 +825,8 @@ void SimulatedJobRunner::finish_reduce(ActiveJob& job, std::size_t r) {
   ReduceState& rs = job.reduces[r];
   if (rs.done) return;
   rs.done = true;
-  if (rs.watchdog.valid()) {
-    cloud_.engine().cancel(rs.watchdog);
-    rs.watchdog = {};
-  }
-  release_slot(rs.tracker, rs.tid);
-  rs.tid = -1;
-  Tracker& tr = trackers_[rs.tracker];
-  ++tr.free_reduce_slots;
-  --tr.running;
-  --job.running_reduces;
+  cloud_.engine().cancel(std::exchange(rs.watchdog, {}));
+  give_slot(job, SlotKind::Reduce, rs.tracker, rs.tid);
   out_of_band_heartbeat(rs.tracker);
   job.timeline.reduces[r].finished = cloud_.engine().now();
   h_reduce_seconds_->observe(job.timeline.reduces[r].finished -
@@ -870,100 +862,33 @@ void SimulatedJobRunner::maybe_finish_job(ActiveJob& job) {
   if (on_done) on_done(timeline);
 }
 
-void SimulatedJobRunner::cancel_map_watchdogs(ActiveJob& job, std::size_t m) {
-  for (auto& wd : job.maps[m].watchdog) {
-    if (wd.valid()) {
-      cloud_.engine().cancel(wd);
-      wd = {};
-    }
-  }
-}
-
-void SimulatedJobRunner::arm_map_watchdog(ActiveJob& job, std::size_t m, std::size_t i,
-                                          int attempt, int slot) {
-  const auto id = job.id;
-  job.maps[m].watchdog[slot] =
-      cloud_.engine().schedule_in(config_.task_timeout_seconds, [this, id, m, i, attempt, slot] {
-        ActiveJob* j = find_job(id);
-        if (!j) return;
-        map_timeout(*j, m, i, attempt, slot);
-      });
-}
-
-void SimulatedJobRunner::map_timeout(ActiveJob& job, std::size_t m, std::size_t i, int attempt,
-                                     int slot) {
-  MapState& ms = job.maps[m];
-  ms.watchdog[slot] = {};
-  if (ms.done || ms.attempt != attempt) return;
-  // Kill this attempt: free its slot, drop its chain, and requeue unless a
-  // racing attempt is still healthy.
-  if (trackers_[i].alive) {
-    release_slot(i, ms.tid[slot]);
-    ++trackers_[i].free_map_slots;
-    --trackers_[i].running;
-    --job.running_maps;
-  }
-  ms.tid[slot] = -1;
-  ms.span[slot] = 0;
-  if (slot == 0) ms.tracker = kNone;
-  else ms.spec_tracker = kNone;
-  const std::size_t survivor = (slot == 0) ? ms.spec_tracker : ms.tracker;
-  if (survivor != kNone && trackers_[survivor].alive) return;
-  ++ms.attempt;  // invalidates any wedged continuation
-  ms.tracker = kNone;
-  ms.spec_tracker = kNone;
-  ++reexecuted_maps_;
-  m_reexecutions_->inc();
-  job.pending_maps.push_back(m);
-}
-
-void SimulatedJobRunner::arm_reduce_watchdog(ActiveJob& job, std::size_t r, int attempt) {
-  const auto id = job.id;
-  job.reduces[r].watchdog =
-      cloud_.engine().schedule_in(config_.task_timeout_seconds, [this, id, r, attempt] {
-        ActiveJob* j = find_job(id);
-        if (!j) return;
-        reduce_timeout(*j, r, attempt);
-      });
-}
-
-void SimulatedJobRunner::reduce_timeout(ActiveJob& job, std::size_t r, int attempt) {
+void SimulatedJobRunner::arm_reduce_watchdog(ActiveJob& job, std::size_t r) {
   ReduceState& rs = job.reduces[r];
-  rs.watchdog = {};
-  if (rs.done || rs.attempt != attempt) return;
-  const double idle_for = cloud_.engine().now() - rs.last_progress;
-  if (idle_for < config_.task_timeout_seconds) {
-    // Progress was reported (shuffle arrivals); re-arm from the last one.
-    const auto id = job.id;
-    rs.watchdog = cloud_.engine().schedule_in(
-        config_.task_timeout_seconds - idle_for, [this, id, r, attempt] {
-          ActiveJob* j = find_job(id);
-          if (!j) return;
-          reduce_timeout(*j, r, attempt);
-        });
-    return;
-  }
-  // Wedged: restart the reduce elsewhere.
-  if (trackers_[rs.tracker].alive) {
-    release_slot(rs.tracker, rs.tid);
-    ++trackers_[rs.tracker].free_reduce_slots;
-    --trackers_[rs.tracker].running;
-    --job.running_reduces;
-  }
-  rs.tid = -1;
-  rs.span = 0;
-  rs.shuffle_span = 0;
-  ++rs.attempt;
-  rs.assigned = false;
-  rs.ready = false;
-  rs.tracker = kNone;
-  rs.fetched.assign(job.maps.size(), false);
-  rs.fetch_count = 0;
-  rs.fetched_bytes = 0.0;
-  // Guarded copier completions of the dead attempt never fire; zero the
-  // window so the retry starts with full copier capacity.
-  rs.fetch_queue.clear();
-  rs.copiers = 0;
+  // The deadline is absolute, and the expiry test below compares against
+  // the same sum: a watchdog that fires at its deadline with no progress
+  // since expires, instead of re-arming a rounding error ahead.
+  rs.watchdog = cloud_.engine().schedule_at(
+      rs.last_progress + config_.task_timeout_seconds,
+      reduce_guard(job.id, r, rs.attempt, [this, r](ActiveJob& job2) {
+        ReduceState& rs2 = job2.reduces[r];
+        rs2.watchdog = {};  // fired
+        if (cloud_.engine().now() < rs2.last_progress + config_.task_timeout_seconds) {
+          arm_reduce_watchdog(job2, r);  // shuffle arrivals moved the deadline
+        } else {
+          restart_reduce(job2, r);  // wedged
+        }
+      }));
+}
+
+void SimulatedJobRunner::restart_reduce(ActiveJob& job, std::size_t r) {
+  ReduceState& rs = job.reduces[r];
+  cloud_.engine().cancel(rs.watchdog);
+  give_slot(job, SlotKind::Reduce, rs.tracker, rs.tid);
+  // A fresh state under the next attempt number: continuations and copier
+  // completions of the old attempt never fire, so nothing of it (fetched
+  // partitions, copier window, trace spans) may carry over.
+  rs = ReduceState{.attempt = rs.attempt + 1,
+                   .fetched = std::vector<bool>(job.maps.size(), false)};
   job.retry_reduces.push_back(r);
 }
 
@@ -988,14 +913,9 @@ void SimulatedJobRunner::fail_all_jobs() {
   }
 }
 
-void SimulatedJobRunner::crash_job_maps(ActiveJob& job, std::size_t dead, virt::VmId vm) {
-  // Maps touched by the dead tracker.
+void SimulatedJobRunner::crash_job(ActiveJob& job, std::size_t dead, virt::VmId vm) {
   for (std::size_t m = 0; m < job.maps.size(); ++m) {
     MapState& ms = job.maps[m];
-    const bool was_primary = ms.tracker == dead;
-    const bool was_spec = ms.spec_tracker == dead;
-    if (!was_primary && !was_spec && !(ms.done && ms.output_vm == vm)) continue;
-
     if (ms.done) {
       // Output lost? Completed maps must re-run unless every reducer has
       // already fetched them (or the output was committed to HDFS).
@@ -1003,63 +923,22 @@ void SimulatedJobRunner::crash_job_maps(ActiveJob& job, std::size_t dead, virt::
           job.spec.map_output_to_hdfs || job.spec.reduces.empty() ||
           std::all_of(job.reduces.begin(), job.reduces.end(),
                       [m](const ReduceState& rs) { return rs.fetched[m]; });
-      if (ms.output_vm != vm || output_safe) continue;
-      --job.maps_done;
-      ++reexecuted_maps_;
-      m_reexecutions_->inc();
-      ms.done = false;
-    } else {
-      // A racing attempt on a live tracker may still win; only reschedule
-      // when no live attempt remains.
-      if (was_primary) {
-        ms.tracker = kNone;
-        ms.tid[0] = -1;
-        ms.span[0] = 0;
-        --job.running_maps;
-      }
-      if (was_spec) {
-        ms.spec_tracker = kNone;
-        ms.tid[1] = -1;
-        ms.span[1] = 0;
-        --job.running_maps;
-      }
-      const std::size_t survivor = was_primary ? ms.spec_tracker : ms.tracker;
-      if (survivor != kNone && trackers_[survivor].alive) continue;
-      ++reexecuted_maps_;
-      m_reexecutions_->inc();
+      if (ms.output_vm == vm && !output_safe) requeue_map(job, m);
+      continue;
     }
-    ++ms.attempt;  // invalidate any continuation still in flight
-    ms.tracker = kNone;
-    ms.spec_tracker = kNone;
-    ms.tid[0] = ms.tid[1] = -1;
-    ms.span[0] = ms.span[1] = 0;
-    ms.done_span = 0;
-    cancel_map_watchdogs(job, m);
-    job.pending_maps.push_back(m);
+    // A racing attempt on a live tracker may still win; only requeue when
+    // no live attempt remains. (A speculative attempt never shares its
+    // primary's tracker.)
+    const int slot = ms.tracker[0] == dead ? 0 : 1;
+    if (ms.tracker[slot] == dead && !drop_map_attempt(job, m, slot)) requeue_map(job, m);
   }
-}
-
-void SimulatedJobRunner::crash_job_reduces(ActiveJob& job, std::size_t dead) {
-  // Reduces running on the dead tracker start over elsewhere.
+  // Reduces running on the dead tracker start over elsewhere. Maps go
+  // first, so output_safe above still counts what such a reducer fetched;
+  // when its retry finds a map's output gone, the fetch failure requeues
+  // that map.
   for (std::size_t r = 0; r < job.reduces.size(); ++r) {
-    ReduceState& rs = job.reduces[r];
-    if (!rs.assigned || rs.done || rs.tracker != dead) continue;
-    if (rs.watchdog.valid()) {
-      cloud_.engine().cancel(rs.watchdog);
-      rs.watchdog = {};
-    }
-    rs.tid = -1;
-    rs.span = 0;
-    rs.shuffle_span = 0;
-    ++rs.attempt;
-    rs.assigned = false;
-    rs.ready = false;
-    rs.tracker = kNone;
-    rs.fetched.assign(job.maps.size(), false);
-    rs.fetch_count = 0;
-    rs.fetched_bytes = 0.0;
-    --job.running_reduces;
-    job.retry_reduces.push_back(r);
+    const ReduceState& rs = job.reduces[r];
+    if (rs.assigned && !rs.done && rs.tracker == dead) restart_reduce(job, r);
   }
 }
 
@@ -1089,23 +968,12 @@ void SimulatedJobRunner::on_vm_crash(virt::VmId vm) {
     }
     tr.reduce_slot_busy[k] = false;
   }
-  if (heartbeat_events_[dead].valid()) {
-    cloud_.engine().cancel(heartbeat_events_[dead]);
-    heartbeat_events_[dead] = {};
-  }
-  if (jobs_.empty()) return;
-
-  for (auto& jp : jobs_) crash_job_maps(*jp, dead, vm);
-
+  cloud_.engine().cancel(std::exchange(heartbeat_events_[dead], {}));
+  for (auto& jp : jobs_) crash_job(*jp, dead, vm);
   // With no live tracker left, every job (active and queued) fails.
-  const bool any_alive =
-      std::any_of(trackers_.begin(), trackers_.end(), [](const Tracker& t) { return t.alive; });
-  if (!any_alive) {
+  if (std::none_of(trackers_.begin(), trackers_.end(), [](const Tracker& t) { return t.alive; })) {
     fail_all_jobs();
-    return;
   }
-
-  for (auto& jp : jobs_) crash_job_reduces(*jp, dead);
 }
 
 }  // namespace vhadoop::mapreduce

@@ -59,8 +59,6 @@ class SimulatedJobRunner {
   void submit(SimJobSpec spec, std::function<void(const JobTimeline&)> on_done);
 
   bool idle() const { return jobs_.empty(); }
-  /// Jobs submitted but not yet completed or failed.
-  std::size_t active_jobs() const { return jobs_.size(); }
   /// Tasks currently executing on `vm` (drives the migration dirty model).
   int running_tasks(virt::VmId vm) const;
   const HadoopConfig& config() const { return config_; }
@@ -88,13 +86,14 @@ class SimulatedJobRunner {
     std::vector<bool> reduce_slot_busy;
   };
 
+  /// Attempt slot 0 holds the primary attempt, slot 1 a speculative
+  /// duplicate racing it under the same attempt number.
   struct MapState {
     int attempt = 0;
     bool done = false;
-    std::size_t tracker = kNone;       ///< primary attempt's tracker
-    std::size_t spec_tracker = kNone;  ///< speculative attempt's tracker
+    std::size_t tracker[2] = {kNone, kNone};  ///< tracker per attempt slot
     virt::VmId output_vm = 0;          ///< where the winning spill lives
-    sim::Engine::EventId watchdog[2];  ///< per-slot task timeout (0=primary)
+    sim::Engine::EventId watchdog[2];  ///< task timeout per attempt slot
     int tid[2] = {-1, -1};             ///< trace lane per attempt slot
     obs::SpanId span[2] = {0, 0};      ///< task attempt span per slot
     /// Winning attempt's span: the `from` of the "shuffle" cause edges the
@@ -177,12 +176,38 @@ class SimulatedJobRunner {
   void maybe_assign_map(std::size_t tracker_idx);
   void maybe_speculate(std::size_t tracker_idx);
   void maybe_assign_reduce(std::size_t tracker_idx);
-  /// `slot` distinguishes the primary (0) and speculative (1) attempt.
-  void run_map(ActiveJob& job, std::size_t m, std::size_t tracker_idx, int attempt, int slot,
-               int tid);
+
+  // Task-attempt transitions. Each is written once; every path that moves
+  // an attempt goes through these.
+  /// Take a free slot of `kind` on the tracker for one attempt of `job`;
+  /// returns the attempt's trace lane.
+  int take_slot(ActiveJob& job, SlotKind kind, std::size_t tracker_idx);
+  /// Give back the slot an attempt held in lane `tid`. The job's running
+  /// count always drops; the tracker's counters and lane only while it is
+  /// alive, since a crash has already zeroed them.
+  void give_slot(ActiveJob& job, SlotKind kind, std::size_t tracker_idx, int tid);
+  /// Start an attempt of map m in attempt slot `slot` (0 primary, 1
+  /// speculative) on the tracker: take a slot, arm the task timeout, run.
+  void run_map(ActiveJob& job, std::size_t m, std::size_t tracker_idx, int slot);
+  /// Write off map m's attempt in `slot`: cancel its timeout and give back
+  /// its slot. Returns whether the other slot still holds an attempt (a
+  /// crash drops every attempt of the dead tracker, so a held slot is live).
+  bool drop_map_attempt(ActiveJob& job, std::size_t m, int slot);
+  /// Queue map m for a fresh attempt, invalidating every continuation of
+  /// the old ones. No attempt slot may be held; a completed map whose
+  /// output was lost becomes incomplete again.
+  void requeue_map(ActiveJob& job, std::size_t m);
   void finish_map(ActiveJob& job, std::size_t m, std::size_t tracker_idx);
-  void run_reduce(ActiveJob& job, std::size_t r, std::size_t tracker_idx, int attempt,
-                  int tid);
+  /// Start reduce r's current attempt on the tracker: take a slot, arm the
+  /// watchdog, then spawn, localize and begin the shuffle.
+  void run_reduce(ActiveJob& job, std::size_t r, std::size_t tracker_idx);
+  /// Arm reduce r's watchdog at the absolute deadline last_progress +
+  /// task_timeout_seconds. At the deadline it re-arms if shuffle progress
+  /// moved the deadline past now, and otherwise restarts the attempt.
+  void arm_reduce_watchdog(ActiveJob& job, std::size_t r);
+  /// Kill reduce r's attempt (give back its slot, cancel its watchdog) and
+  /// queue a fresh attempt that starts over from an empty shuffle.
+  void restart_reduce(ActiveJob& job, std::size_t r);
   /// Queue map `m`'s partition for reduce `r` and start copies while
   /// copier slots are free.
   void start_fetch(ActiveJob& job, std::size_t m, std::size_t r);
@@ -192,19 +217,10 @@ class SimulatedJobRunner {
   void finish_reduce(ActiveJob& job, std::size_t r);
   void maybe_finish_job(ActiveJob& job);
   void on_vm_crash(virt::VmId vm);
-  void crash_job_maps(ActiveJob& job, std::size_t dead, virt::VmId vm);
-  void crash_job_reduces(ActiveJob& job, std::size_t dead);
-  void arm_map_watchdog(ActiveJob& job, std::size_t m, std::size_t tracker_idx, int attempt,
-                        int slot);
-  void map_timeout(ActiveJob& job, std::size_t m, std::size_t tracker_idx, int attempt,
-                   int slot);
-  void arm_reduce_watchdog(ActiveJob& job, std::size_t r, int attempt);
-  void reduce_timeout(ActiveJob& job, std::size_t r, int attempt);
-  void cancel_map_watchdogs(ActiveJob& job, std::size_t m);
-  /// A completed map whose output became unreachable (fetch failure
-  /// against a dead node) is demoted back to pending — Hadoop's
-  /// "too many fetch failures" re-execution.
-  void mark_map_lost(ActiveJob& job, std::size_t m);
+  /// Drop job's attempts on the dead tracker, requeue the maps left without
+  /// a live attempt or whose unfetched output died with `vm`, and restart
+  /// the reduces that ran there.
+  void crash_job(ActiveJob& job, std::size_t dead, virt::VmId vm);
 
   /// Continuation valid only while job `id` is active and map m is still on
   /// attempt `attempt` (re-execution invalidates older chains). The live
@@ -218,10 +234,6 @@ class SimulatedJobRunner {
   }
 
   obs::Tracer& tracer() { return cloud_.engine().tracer(); }
-  /// Claim the lowest free trace lane in `busy`, growing it defensively.
-  int acquire_slot(std::vector<bool>& busy, int base);
-  /// Free the lane and close any spans a dropped chain left open on it.
-  void release_slot(std::size_t tracker_idx, int tid);
   obs::Counter* queue_counter(const ActiveJob& job, const char* what);
   /// Per-tenant latency histogram (`mr.queue.<queue>.<what>`), created on
   /// first use with the same buckets as mr.job_seconds.

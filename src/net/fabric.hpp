@@ -81,7 +81,6 @@ class Fabric {
   /// Add a physical node. `rack_hint` >= 0 pins it to that rack; -1 lets
   /// the topology auto-assign by fill order (nodes_per_rack per rack).
   NodeId add_node(const std::string& name, int rack_hint = -1);
-  std::size_t node_count() const { return nodes_.size(); }
 
   // --- topology ------------------------------------------------------------
   int rack_count() const { return topology_->rack_count(); }
@@ -100,12 +99,6 @@ class Fabric {
   // Utilization accessors for the monitor.
   double tx_utilization(NodeId n) const { return model_.utilization(nodes_[n].tx); }
   double rx_utilization(NodeId n) const { return model_.utilization(nodes_[n].rx); }
-  double bridge_utilization(NodeId n) const { return model_.utilization(nodes_[n].bridge); }
-  double tx_busy_integral(NodeId n) const { return model_.busy_integral(nodes_[n].tx); }
-  double rx_busy_integral(NodeId n) const { return model_.busy_integral(nodes_[n].rx); }
-
-  sim::FluidModel::ResourceId tx_resource(NodeId n) const { return nodes_[n].tx; }
-  sim::FluidModel::ResourceId rx_resource(NodeId n) const { return nodes_[n].rx; }
 
   const NetConfig& config() const { return config_; }
 

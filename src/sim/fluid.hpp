@@ -133,10 +133,6 @@ class FluidModel {
   FluidModel(const FluidModel&) = delete;
   FluidModel& operator=(const FluidModel&) = delete;
 
-  /// True when every update re-solves all components and verifies the
-  /// incremental invariant (see class comment).
-  bool reference_mode() const { return reference_; }
-
   // --- resources ---------------------------------------------------------
   /// Capacities must be finite and >= 0 (else std::invalid_argument).
   ResourceId add_resource(std::string name, double capacity);

@@ -164,7 +164,6 @@ class Cloud {
   HostId host_of(VmId vm) const { return vms_[vm].host; }
   const std::string& vm_name(VmId vm) const { return vms_[vm].name; }
   const VmSpec& spec(VmId vm) const { return vms_[vm].spec; }
-  std::size_t vm_count() const { return vms_.size(); }
 
   // --- primitive operations -----------------------------------------------
   /// Burn `core_seconds` of guest CPU. Limited by the VM's VCPU allotment
@@ -215,9 +214,7 @@ class Cloud {
                std::function<void(const MigrationResult&)> on_done);
 
   // --- introspection for the monitor --------------------------------------
-  double host_cpu_utilization(HostId h) const { return model_.utilization(hosts_[h].cpu); }
   double host_cpu_busy_integral(HostId h) const { return model_.busy_integral(hosts_[h].cpu); }
-  double vm_cpu_utilization(VmId v) const { return model_.utilization(vms_[v].vcpu); }
   double vm_cpu_busy_integral(VmId v) const { return model_.busy_integral(vms_[v].vcpu); }
   double vm_net_busy_integral(VmId v) const { return model_.busy_integral(vms_[v].vnic); }
   double vm_disk_busy_integral(VmId v) const { return model_.busy_integral(vms_[v].vdisk); }
@@ -227,8 +224,6 @@ class Cloud {
   /// Total busy time across all filer spindles.
   double nfs_disk_busy_integral() const;
   net::Fabric::NodeId host_node(HostId h) const { return hosts_[h].node; }
-  /// The rack-0 filer (the only one on a single-rack cloud).
-  net::Fabric::NodeId nfs_node() const { return nfs_nodes_.front(); }
   double host_memory_free_mb(HostId h) const;
 
   /// Estimated resident memory of the guest in MB (the paper's nmon
@@ -282,11 +277,6 @@ class Cloud {
   };
 
   struct Migration;
-
-  net::Fabric::Endpoint vm_endpoint(VmId v) const {
-    return {vms_[v].host == kOnNfs ? nfs_nodes_.front() : hosts_[vms_[v].host].node, true,
-            static_cast<int>(v)};
-  }
 
   /// The filer serving a host's virtual block devices: the single shared
   /// NFS server on a one-rack cloud, the host's rack-local filer otherwise.

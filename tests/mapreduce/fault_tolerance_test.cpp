@@ -21,6 +21,16 @@ SimJobSpec job_of(int maps, int reduces) {
   return spec;
 }
 
+/// A shuffle-heavy job_of: lighter maps that each spill `out_mib`.
+SimJobSpec shuffle_job(int maps, double out_mib, int reduces) {
+  SimJobSpec spec = job_of(maps, reduces);
+  for (auto& mt : spec.maps) {
+    mt.cpu_seconds = 0.5;
+    mt.output_bytes = out_mib * sim::kMiB;
+  }
+  return spec;
+}
+
 TEST(FaultTolerance, JobSurvivesWorkerCrashDuringMapPhase) {
   auto c = SimCluster::make(6, false);
   JobTimeline timeline;
@@ -154,6 +164,53 @@ TEST(FaultTolerance, MultipleCrashesStillComplete) {
   c->cloud->crash_vm(c->workers[1]);
   c->engine.run();
   EXPECT_TRUE(done);
+}
+
+TEST(FaultTolerance, ReduceRestartedByCrashStartsWithFullCopierWindow) {
+  // workers[0] runs a reducer with four copies in flight when it crashes.
+  // The restarted attempt must get all five copier slots. A retry that kept
+  // the dead attempt's copier window would inherit four busy slots, which
+  // never free, and the job would take 210.79 s.
+  HadoopConfig hc;
+  hc.speculative_execution = false;
+  auto c = SimCluster::make(6, true, hc);
+  const double submitted = c->engine.now();
+  JobTimeline timeline;
+  bool done = false;
+  c->runner->submit(shuffle_job(30, 160.0, 2), [&](const JobTimeline& t) {
+    timeline = t;
+    done = true;
+  });
+  c->engine.run_until(submitted + 41.0);
+  c->cloud->crash_vm(c->workers[0]);
+  c->engine.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(c->engine.metrics().counter("mr.reduce_attempts")->value(), 3.0);
+  for (const auto& t : timeline.reduces) EXPECT_NE(t.vm, c->workers[0]);
+  EXPECT_DOUBLE_EQ(timeline.elapsed(), 187.614006373157);
+}
+
+TEST(FaultTolerance, ReduceWatchdogLetsSimulatedTimeAdvance) {
+  // The lone reducer ends its shuffle and sits in a merge longer than the
+  // task timeout, so its watchdog fires at the deadline it was armed for
+  // (t = 698.70627522577456, last progress at 458.70627522577462). There
+  // it must expire. A watchdog re-armed by the remaining idle time would
+  // be due 5.7e-14 s later, less than half an ulp of now, and would fire
+  // on the same instant forever: engine.run() would never return. Stepping
+  // under an event budget turns that livelock into a failure. Whether the
+  // job completes is not asserted: every attempt's merge outlasts the
+  // timeout.
+  HadoopConfig hc;
+  hc.speculative_execution = false;
+  auto c = SimCluster::make(6, false, hc);
+  const double submitted = c->engine.now();
+  c->runner->submit(shuffle_job(24, 512.0, 1), [](const JobTimeline&) {});
+  c->engine.run_until(submitted + 10.0);
+  c->cloud->crash_vm(c->workers[0]);
+  for (int budget = 200000; budget > 0 && c->engine.now() <= submitted + 1000.0; --budget) {
+    if (!c->engine.step()) break;
+  }
+  EXPECT_GT(c->engine.now(), submitted + 1000.0);
 }
 
 TEST(FaultTolerance, WholeClusterLossFailsJobCleanly) {
