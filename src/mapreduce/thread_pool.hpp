@@ -56,6 +56,13 @@ struct ParallelDepthScope {
 /// deadlock; determinism is unaffected because split structure never
 /// depends on the execution schedule. Top-level callers on different
 /// threads take turns: one batch runs at a time.
+///
+/// An index must carry much more work than its claim. Each index costs two
+/// atomic updates on counters every participant shares; under 4-thread
+/// contention that is about 0.5 µs of CPU, while a nearest-center scan of
+/// one 2-d point against 3 centers takes tens of nanoseconds. Callers with
+/// fine-grained work hand out blocks: ml::assign_nearest claims one index
+/// per 256 points.
 class WorkerPool {
  public:
   explicit WorkerPool(unsigned threads = 0)

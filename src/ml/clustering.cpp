@@ -1,5 +1,6 @@
 #include "ml/clustering.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -53,10 +54,18 @@ mapreduce::RunJob job_runner(const ClusteringConfig& config) {
 
 std::vector<int> assign_nearest(const Dataset& data, const std::vector<Vec>& centers,
                                 unsigned threads) {
+  // One pool index per block: a point's scan costs tens of nanoseconds, a
+  // contended claim on the pool's counters about half a microsecond.
+  constexpr std::size_t kBlock = 256;
   const CenterMatrix flat(centers);
-  std::vector<int> assignments(data.size());
-  mapreduce::WorkerPool::shared(threads).parallel_for(data.size(), [&](std::size_t i) {
-    assignments[i] = nearest_center(data.points[i], flat);
+  const std::size_t n = data.size();
+  std::vector<int> assignments(n);
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  mapreduce::WorkerPool::shared(threads).parallel_for(blocks, [&](std::size_t b) {
+    const std::size_t end = std::min(n, (b + 1) * kBlock);
+    for (std::size_t i = b * kBlock; i < end; ++i) {
+      assignments[i] = nearest_center(data.points[i], flat);
+    }
   });
   return assignments;
 }

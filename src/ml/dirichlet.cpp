@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "sim/rng.hpp"
 
@@ -11,21 +12,37 @@ namespace vhadoop::ml {
 
 namespace {
 
-/// Log density of a spherical Gaussian (up to the shared 2*pi constant).
-double log_pdf(std::span<const double> x, const DirichletModel& m) {
-  const double d2 = squared_euclidean(x, m.mean);
-  const double var = std::max(1e-6, m.stddev * m.stddev);
-  return -0.5 * d2 / var - 0.5 * static_cast<double>(x.size()) * std::log(var);
+/// The parts of one model's log weight that do not depend on the point:
+/// its log mixing weight and the variance and normalizer of its spherical
+/// Gaussian density (up to the shared 2*pi constant).
+struct ModelTerms {
+  std::span<const double> mean;  ///< views the snapshot's DirichletModel::mean
+  double log_mix;
+  double var;
+  double log_norm;
+};
+
+std::vector<ModelTerms> model_terms(const std::vector<DirichletModel>& models) {
+  std::vector<ModelTerms> terms;
+  terms.reserve(models.size());
+  for (const DirichletModel& m : models) {
+    const double var = std::max(1e-6, m.stddev * m.stddev);
+    terms.push_back({m.mean, std::log(std::max(1e-12, m.mixture)), var,
+                     0.5 * static_cast<double>(m.mean.size()) * std::log(var)});
+  }
+  return terms;
 }
 
 /// Posterior over models for x, written into caller-owned `logp` (the
 /// mapper calls this once per record; no allocation in the steady state).
-void posterior_into(std::span<const double> x, const std::vector<DirichletModel>& models,
+void posterior_into(std::span<const double> x, const std::vector<ModelTerms>& terms,
                     Vec& logp) {
-  logp.resize(models.size());
+  logp.resize(terms.size());
   double best = -std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < models.size(); ++j) {
-    logp[j] = std::log(std::max(1e-12, models[j].mixture)) + log_pdf(x, models[j]);
+  for (std::size_t j = 0; j < terms.size(); ++j) {
+    const ModelTerms& t = terms[j];
+    const double d2 = squared_euclidean(x, t.mean);
+    logp[j] = t.log_mix + (-0.5 * d2 / t.var - t.log_norm);
     best = std::max(best, logp[j]);
   }
   double z = 0.0;
@@ -34,12 +51,6 @@ void posterior_into(std::span<const double> x, const std::vector<DirichletModel>
     z += lp;
   }
   for (double& lp : logp) lp /= z;
-}
-
-Vec posterior(std::span<const double> x, const std::vector<DirichletModel>& models) {
-  Vec logp;
-  posterior_into(x, models, logp);
-  return logp;
 }
 
 /// Partial statistics emitted per (model, split): [count, sum|x|^2, sum...].
@@ -79,7 +90,7 @@ double norm_sq(std::span<const double> v) {
 class DirichletMapper : public mapreduce::Mapper {
  public:
   DirichletMapper(std::shared_ptr<const std::vector<DirichletModel>> models, int iteration)
-      : models_(std::move(models)), iteration_(iteration),
+      : models_(std::move(models)), terms_(model_terms(*models_)), iteration_(iteration),
         counts_(models_->size(), 0.0), sumsqs_(models_->size(), 0.0) {}
 
   void map(std::string_view key, std::string_view value, mapreduce::Context&) override {
@@ -88,7 +99,7 @@ class DirichletMapper : public mapreduce::Mapper {
       dim_ = x.size();
       sums_.assign(models_->size() * dim_, 0.0);  // row-major [model][dim]
     }
-    posterior_into(x, *models_, p_);
+    posterior_into(x, terms_, p_);
     // Gibbs assignment, deterministically seeded by (record, iteration) so
     // the sampling is independent of split layout and thread schedule.
     sim::Rng rng(mapreduce::stable_hash(key) * 0x9e3779b97f4a7c15ULL +
@@ -120,6 +131,7 @@ class DirichletMapper : public mapreduce::Mapper {
 
  private:
   std::shared_ptr<const std::vector<DirichletModel>> models_;
+  std::vector<ModelTerms> terms_;  // views into *models_
   int iteration_;
   std::vector<double> counts_;
   std::vector<double> sumsqs_;
@@ -158,6 +170,8 @@ class DirichletReducer : public mapreduce::Reducer {
 }  // namespace
 
 DirichletRun dirichlet_cluster(const Dataset& data, const DirichletConfig& config) {
+  if (data.size() == 0) throw std::invalid_argument("dirichlet: empty dataset");
+  if (config.k < 1) throw std::invalid_argument("dirichlet: k must be >= 1");
   sim::Rng rng(4242);
   const std::size_t dim = data.dim();
 
@@ -233,9 +247,11 @@ DirichletRun dirichlet_cluster(const Dataset& data, const DirichletConfig& confi
     if (m.count > 0.0) run.centers.push_back(m.mean);
   }
   // MAP assignment against the final mixture.
+  const std::vector<ModelTerms> terms = model_terms(*models);
+  Vec post;
   run.assignments.reserve(data.size());
   for (const Vec& p : data.points) {
-    const Vec post = posterior(p, *models);
+    posterior_into(p, terms, post);
     run.assignments.push_back(static_cast<int>(
         std::distance(post.begin(), std::max_element(post.begin(), post.end()))));
   }

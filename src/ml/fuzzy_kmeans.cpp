@@ -1,5 +1,6 @@
 #include "ml/fuzzy_kmeans.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -30,9 +31,13 @@ void memberships_into(std::span<const double> point, const CenterMatrix& centers
       u[j] = 1.0;
       return;
     }
+    // The own-center term is pow(d / d, e): exactly 1 for a finite non-zero
+    // d, since d / d is exactly 1 and pow(1, e) is 1. NaN and infinite
+    // distances still go through pow.
+    const bool own_term_is_one = std::isfinite(dist[j]);
     double denom = 0.0;
     for (std::size_t kk = 0; kk < k; ++kk) {
-      denom += std::pow(dist[j] / dist[kk], exponent);
+      denom += kk == j && own_term_is_one ? 1.0 : std::pow(dist[j] / dist[kk], exponent);
     }
     u[j] = 1.0 / denom;
   }

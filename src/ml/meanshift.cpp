@@ -1,8 +1,11 @@
 #include "ml/meanshift.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 namespace vhadoop::ml {
 
@@ -39,7 +42,9 @@ struct FlatCanopies {
 
   std::size_t size() const { return weights.size(); }
   std::span<const double> center(std::size_t i) const { return {centers.data() + i * dim, dim}; }
+  /// A center of another dimension would misalign every later row.
   void push(double w, std::span<const double> c) {
+    if (c.size() != dim) throw std::invalid_argument("dimension mismatch");
     weights.push_back(w);
     centers.insert(centers.end(), c.begin(), c.end());
   }
@@ -49,16 +54,34 @@ struct FlatCanopies {
 /// then greedily merge canopies within T2. The kernel both the mapper
 /// (over its split) and the reducer (over everything) apply. Arithmetic
 /// order matches the original Vec-of-Canopy implementation exactly.
+///
+/// The T1 test of a pair is made once: (a - b)^2 and (b - a)^2 are equal
+/// bit for bit, so the neighbourhoods form a symmetric bit matrix. The
+/// diagonal is tested too, since a canopy with a NaN or infinite
+/// coordinate is not its own neighbour. Each row's bits are then summed in
+/// ascending order, the order in which a scan over all canopies adds them.
 FlatCanopies shift_and_merge(const FlatCanopies& in, double t1, double t2) {
   const double t1_sq = t1 * t1, t2_sq = t2 * t2;
+  const std::size_t n = in.size();
   const std::size_t dim = in.dim;
-  std::vector<double> shifted(in.size() * dim, 0.0);
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> neighbours(n * words, 0);  // row i: canopy i's T1 bits
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t o = i; o < n; ++o) {
+      if (squared_euclidean(in.center(i), in.center(o)) <= t1_sq) {
+        neighbours[i * words + o / 64] |= std::uint64_t{1} << (o % 64);
+        neighbours[o * words + i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+    }
+  }
+  std::vector<double> shifted(n * dim, 0.0);
   Vec sum(dim);
-  for (std::size_t i = 0; i < in.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     std::fill(sum.begin(), sum.end(), 0.0);
     double weight = 0.0;
-    for (std::size_t o = 0; o < in.size(); ++o) {
-      if (squared_euclidean(in.center(i), in.center(o)) <= t1_sq) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = neighbours[i * words + w]; bits != 0; bits &= bits - 1) {
+        const std::size_t o = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         const auto oc = in.center(o);
         for (std::size_t d = 0; d < dim; ++d) sum[d] += oc[d] * in.weights[o];
         weight += in.weights[o];
@@ -71,7 +94,7 @@ FlatCanopies shift_and_merge(const FlatCanopies& in, double t1, double t2) {
   }
   FlatCanopies merged;
   merged.dim = dim;
-  for (std::size_t i = 0; i < in.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const std::span<const double> c{shifted.data() + i * dim, dim};
     const double cw = in.weights[i];
     bool absorbed = false;

@@ -232,6 +232,15 @@ TEST(MeanShift, NoPriorKRequired) {
   EXPECT_EQ(run.centers.size(), 5u);
 }
 
+TEST(MeanShift, RejectsPointsOfDifferentDimensions) {
+  // In one split the mapper sees both dimensions; in two, the reducer does.
+  Dataset data;
+  data.points = {{0.0, 0.0, 0.0}, {1.0}, {2.0}};
+  EXPECT_THROW(meanshift_cluster(data, {.base = {.num_splits = 1}}), std::invalid_argument);
+  data.points = {{0.0, 0.0}, {1.0, 1.0}, {2.0}, {3.0}};
+  EXPECT_THROW(meanshift_cluster(data, {.base = {.num_splits = 2}}), std::invalid_argument);
+}
+
 // --- dirichlet ---------------------------------------------------------------------
 
 TEST(Dirichlet, CountsConserved) {
@@ -265,6 +274,16 @@ TEST(Dirichlet, FindsTheBlobStructure) {
   }
   EXPECT_GE(near_blobs, 3);
   EXPECT_GT(rand_index(data.labels, run.assignments), 0.9);
+}
+
+TEST(Dirichlet, RejectsEmptyDatasetAndNoModels) {
+  const DirichletConfig cfg{.k = 3, .alpha = 1.0, .base = {.num_splits = 2, .max_iterations = 2}};
+  EXPECT_THROW(dirichlet_cluster(Dataset{}, cfg), std::invalid_argument);
+  auto data = tight_blobs();
+  for (int k : {0, -1}) {
+    EXPECT_THROW(dirichlet_cluster(data, {.k = k, .base = cfg.base}), std::invalid_argument)
+        << "k=" << k;
+  }
 }
 
 TEST(Dirichlet, DeterministicAcrossRuns) {
@@ -338,15 +357,29 @@ TEST(MinHash, FeatureSetDiscretization) {
 // --- parallel assignment pass ---------------------------------------------------
 
 TEST(AssignNearest, IndependentOfThreadCount) {
-  auto data = tight_blobs();
-  const auto centers = seed_centers(data, 3, 77);
-  const auto serial = assign_nearest(data, centers, 1);
-  for (unsigned threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(assign_nearest(data, centers, threads), serial) << threads << " threads";
+  const auto blobs = tight_blobs();
+  const auto centers = seed_centers(blobs, 3, 77);
+  // The blobs, then sizes around the pass's 256-point block: none, one
+  // point, one block short of full, full, one point over, and four blocks.
+  std::vector<Dataset> inputs{blobs};
+  sim::Rng rng(78);
+  for (std::size_t n : {0u, 1u, 255u, 256u, 257u, 1000u}) {
+    Dataset data;
+    for (std::size_t i = 0; i < n; ++i) {
+      data.points.push_back({rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)});
+    }
+    inputs.push_back(std::move(data));
   }
-  // And the flat-matrix scan agrees with the Vec-of-Vec overload.
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(serial[i], nearest_center(data.points[i], centers)) << i;
+  for (const Dataset& data : inputs) {
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+      const auto got = assign_nearest(data, centers, threads);
+      ASSERT_EQ(got.size(), data.size()) << data.size() << " points, " << threads << " threads";
+      // The flat-matrix scan agrees with the Vec-of-Vec overload.
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        EXPECT_EQ(got[i], nearest_center(data.points[i], centers))
+            << data.size() << " points, " << threads << " threads, point " << i;
+      }
+    }
   }
 }
 
