@@ -1,11 +1,16 @@
 // Microbenchmarks (google-benchmark) for the platform's hot kernels: the
-// discrete-event queue, the fluid max-min solver, the logical MapReduce
+// discrete-event queue (fresh and in steady state), the fluid model's
+// start/finish churn and max-min solver, the logical MapReduce
 // runtime and its spill sort, and the clustering arithmetic. Besides the
 // usual console table (user counters included),
 // the run is captured into BENCH_micro_engine.json (one row per benchmark)
 // so CI can archive it alongside the macro benches.
 
 #include <benchmark/benchmark.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "common.hpp"
 #include "mapreduce/job.hpp"
@@ -33,6 +38,69 @@ void BM_EngineScheduleFire(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EngineScheduleFire);
+
+/// A fixed population of self-re-arming timers on one long-lived engine.
+struct TimerRing {
+  explicit TimerRing(std::size_t n) : timers(n) {
+    for (std::size_t i = 0; i < n; ++i) arm(i);
+  }
+  /// Deterministic delays in [1, 2) seconds.
+  double delay() {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return 1.0 + static_cast<double>(lcg >> 11) * 0x1p-53;
+  }
+  void arm(std::size_t i) {
+    timers[i] = engine.schedule_in(delay(), [this, i] { arm(i); });
+  }
+
+  sim::Engine engine;
+  std::vector<sim::Engine::EventId> timers;
+  std::uint64_t lcg = 4711;
+};
+
+/// Engine dispatch in steady state, as the fluid model drives it: each
+/// iteration cancels and re-arms one timer (a rate change moved its
+/// component's earliest finish) and fires the earliest one, which re-arms
+/// itself. One fired event per iteration, so CPU ns per iteration (and
+/// 1e9 / items_per_second) is ns per fired event, schedules and cancels
+/// included.
+void BM_EngineSteadyState(benchmark::State& state) {
+  TimerRing ring(static_cast<std::size_t>(state.range(0)));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    ring.engine.cancel(ring.timers[next]);
+    ring.arm(next);
+    next = next + 1 == ring.timers.size() ? 0 : next + 1;
+    ring.engine.step();
+  }
+  benchmark::DoNotOptimize(ring.engine.processed());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineSteadyState)->Arg(32)->Arg(1024);
+
+/// Fluid start -> finish churn in steady state: two long activities keep a
+/// shared class alive on one link; each iteration starts a third with the
+/// same key (building its ActivitySpec included) and steps the engine until
+/// it finishes. Items are fired engine events: 1e9 / items_per_second is
+/// ns per event.
+void BM_FluidStartFinish(benchmark::State& state) {
+  sim::Engine engine;
+  sim::FluidModel model(engine, /*reference=*/false);
+  const auto link = model.add_resource("link", 100.0);
+  model.start({.work = 1e15, .resources = {link}});
+  model.start({.work = 1e15, .resources = {link}});
+  int finished = 0;
+  const std::uint64_t events_before = engine.processed();
+  for (auto _ : state) {
+    const int before = finished;
+    model.start({.work = 10.0, .resources = {link}, .on_complete = [&finished] { ++finished; }});
+    while (finished == before && engine.step()) {
+    }
+  }
+  benchmark::DoNotOptimize(finished);
+  state.SetItemsProcessed(static_cast<std::int64_t>(engine.processed() - events_before));
+}
+BENCHMARK(BM_FluidStartFinish);
 
 void BM_FluidRecompute(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

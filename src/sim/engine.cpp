@@ -28,38 +28,54 @@ Engine::EventId Engine::schedule_at(SimTime t, Callback cb, bool daemon) {
   }
   if (t < now_) t = now_;  // absorb fp slop
   const std::uint64_t seq = next_seq_++;
-  queue_.push(QueueEntry{t, seq});
-  callbacks_.emplace(seq, Pending{std::move(cb), daemon, t});
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  queue_.push_back(QueueEntry{t, seq, slot});
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>());
+  Pending& p = slots_[slot];
+  p.cb = std::move(cb);
+  p.time = t;
+  p.seq = seq;
+  p.daemon = daemon;
   if (!daemon) ++regular_pending_;
   events_scheduled_->inc();
-  if (static_cast<double>(callbacks_.size()) > queue_depth_->max()) {
-    queue_depth_->set(static_cast<double>(callbacks_.size()));
+  if (static_cast<double>(live_events()) > queue_depth_->max()) {
+    queue_depth_->set(static_cast<double>(live_events()));
   }
-  return EventId{seq};
+  return EventId{seq, slot};
+}
+
+void Engine::release(std::uint32_t slot) {
+  Pending& p = slots_[slot];
+  if (!p.daemon) --regular_pending_;
+  p.cb = nullptr;  // a cancelled closure's captures die now, not on reuse
+  p.seq = 0;
+  free_slots_.push_back(slot);
 }
 
 bool Engine::cancel(EventId id) {
   // The heap entry becomes a tombstone; it is skipped on pop.
-  auto it = callbacks_.find(id.seq);
-  if (it == callbacks_.end()) return false;
-  if (!it->second.daemon) --regular_pending_;
-  callbacks_.erase(it);
+  if (!id.valid() || id.slot >= slots_.size() || slots_[id.slot].seq != id.seq) return false;
+  release(id.slot);
   events_cancelled_->inc();
   ++tombstones_;
-  if (tombstones_ > 64 && tombstones_ > callbacks_.size()) compact_queue();
+  if (tombstones_ > 64 && tombstones_ > live_events()) compact_queue();
   return true;
 }
 
 void Engine::compact_queue() {
-  std::vector<QueueEntry> live;
-  live.reserve(callbacks_.size());
-  // vlint: allow(no-unordered-iteration) audited PR 8: collects entries, sorted before the heap is rebuilt
-  for (const auto& [seq, pending] : callbacks_) live.push_back(QueueEntry{pending.time, seq});
-  // Sorted input gives one canonical heap layout; pop order is total
-  // ((time, seq) is a strict order) either way.
-  std::sort(live.begin(), live.end(),
-            [](const QueueEntry& a, const QueueEntry& b) { return b > a; });
-  queue_ = decltype(queue_)(std::greater<>(), std::move(live));
+  // Rebuilt in place, so the heap keeps its capacity. Pop order is total
+  // ((time, seq) is a strict order) whatever the heap's layout.
+  queue_.clear();
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    const Pending& p = slots_[slot];
+    if (p.seq != 0) queue_.push_back(QueueEntry{p.time, p.seq, slot});
+  }
+  std::make_heap(queue_.begin(), queue_.end(), std::greater<>());
   tombstones_ = 0;
   queue_compactions_->inc();
 }
@@ -80,17 +96,16 @@ bool Engine::step() {
     }
     // Only tombstones left: nothing to fire, and they are left for the
     // next pop or compaction, as run() leaves them.
-    if (callbacks_.empty()) return false;
-    const QueueEntry top = queue_.top();
-    queue_.pop();
-    auto it = callbacks_.find(top.seq);
-    if (it == callbacks_.end()) {  // cancelled
+    if (live_events() == 0) return false;
+    const QueueEntry top = queue_.front();
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>());
+    queue_.pop_back();
+    if (!live(top)) {  // cancelled
       if (tombstones_ > 0) --tombstones_;
       continue;
     }
-    Callback cb = std::move(it->second.cb);
-    if (!it->second.daemon) --regular_pending_;
-    callbacks_.erase(it);
+    Callback cb = std::move(slots_[top.slot].cb);
+    release(top.slot);
     assert(top.time >= now_ - kEps);
     now_ = std::max(now_, top.time);
     ++processed_;
@@ -133,6 +148,16 @@ void Engine::sample_timeseries_tick() {
 }
 
 bool Engine::run_until(SimTime t) {
+  // Checked before any state changes: a NaN horizon compares false with
+  // every event time and would fire them all, an infinite one would leave
+  // now() at +inf, and a past one would move the clock backwards.
+  if (!std::isfinite(t)) {
+    throw std::invalid_argument("Engine::run_until: horizon must be finite");
+  }
+  if (t < now_ - kEps) {
+    throw std::invalid_argument("Engine::run_until: horizon in the past");
+  }
+  if (t < now_) t = now_;  // absorb fp slop
   for (;;) {
     if (instant_over()) {
       end_instant();
@@ -140,18 +165,19 @@ bool Engine::run_until(SimTime t) {
     }
     if (queue_.empty()) break;
     // Skip tombstones without advancing time.
-    if (!callbacks_.contains(queue_.top().seq)) {
-      queue_.pop();
+    if (!live(queue_.front())) {
+      std::pop_heap(queue_.begin(), queue_.end(), std::greater<>());
+      queue_.pop_back();
       if (tombstones_ > 0) --tombstones_;
       continue;
     }
-    if (queue_.top().time > t) {
+    if (queue_.front().time > t) {
       now_ = t;
       return true;
     }
     step();
   }
-  now_ = std::max(now_, t);
+  now_ = t;
   return false;
 }
 

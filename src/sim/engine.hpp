@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -15,18 +13,27 @@ namespace vhadoop::sim {
 
 /// Deterministic discrete-event engine.
 ///
-/// Events scheduled at the same instant fire in scheduling order (FIFO by
-/// sequence number), which makes every simulation run reproducible. The
-/// engine is single-threaded by design: all parallelism in vHadoop is
-/// *modeled* through the fluid resource model, while real computation
-/// (the logical MapReduce executor) happens outside the engine.
+/// Events fire in (time, sequence number) order, so events scheduled at the
+/// same instant fire in scheduling order, which makes every simulation run
+/// reproducible. The engine is single-threaded by design: all parallelism
+/// in vHadoop is *modeled* through the fluid resource model, while real
+/// computation (the logical MapReduce executor) happens outside the engine.
+///
+/// Pending events live in a slot array recycled through a free list, and
+/// the binary heap orders (time, seq, slot) entries; an event's handle
+/// carries its slot, so scheduling, cancelling and firing make no hash
+/// lookup, and a steady schedule/fire cycle allocates nothing (DESIGN.md
+/// §10, "Storage").
 class Engine {
  public:
   using Callback = std::function<void()>;
 
   /// Opaque handle for cancellation. Default-constructed ids are invalid.
+  /// A handle names its event by sequence number; the slot it also carries
+  /// may since hold a later event, which the sequence number tells apart.
   struct EventId {
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
     bool valid() const { return seq != 0; }
   };
 
@@ -66,9 +73,12 @@ class Engine {
   /// Run until no regular (non-daemon) events remain.
   void run();
 
-  /// Run until simulated time `t` (inclusive of events at exactly `t`).
-  /// Afterwards now() == t if the horizon was reached, otherwise now() is
-  /// the time of the last event. Returns true if pending events remain.
+  /// Run until simulated time `t` (inclusive of events at exactly `t`), then
+  /// set now() to `t`, whether events remain past it or the queue drained
+  /// first. Returns true if pending events remain. `t` must be finite and
+  /// not before now() (slop below kEps is absorbed); anything else throws
+  /// std::invalid_argument and changes nothing, since the clock never runs
+  /// backwards.
   bool run_until(SimTime t);
 
   /// Fire at most one event, ending the current instant first if the next
@@ -77,7 +87,7 @@ class Engine {
   bool step();
 
   /// Scheduled events plus registered end-of-instant hooks.
-  std::size_t pending() const { return callbacks_.size() + instant_end_.size(); }
+  std::size_t pending() const { return live_events() + instant_end_.size(); }
   std::uint64_t processed() const { return processed_; }
 
   /// Platform-wide observability, anchored here because every component
@@ -102,22 +112,32 @@ class Engine {
   struct QueueEntry {
     SimTime time;
     std::uint64_t seq;
+    std::uint32_t slot;
     bool operator>(const QueueEntry& o) const {
       if (time != o.time) return time > o.time;
       return seq > o.seq;
     }
   };
 
+  /// One slot of the event array; `seq` is 0 while the slot is free.
   struct Pending {
     Callback cb;
-    bool daemon = false;
     SimTime time = 0.0;
+    std::uint64_t seq = 0;
+    bool daemon = false;
   };
 
+  /// A heap entry whose slot no longer holds its event is a tombstone: the
+  /// event fired or was cancelled, and the slot may hold a later one.
+  bool live(const QueueEntry& e) const { return slots_[e.slot].seq == e.seq; }
+  /// Scheduled events not yet fired or cancelled: the occupied slots.
+  std::size_t live_events() const { return slots_.size() - free_slots_.size(); }
+  /// Free a fired or cancelled event's slot for reuse.
+  void release(std::uint32_t slot);
   /// Cancelled events leave tombstones in the heap; once they outnumber the
-  /// live entries the heap is rebuilt from the cancellation index. Timer
-  /// re-arming (the fluid model cancels and re-schedules completion events
-  /// as rates change) would otherwise grow the heap without bound.
+  /// live entries the heap is rebuilt from the slot array. Timer re-arming
+  /// (the fluid model cancels and re-schedules completion events as rates
+  /// change) would otherwise grow the heap without bound.
   void compact_queue();
 
   /// One link of the sampler chain armed by sample_timeseries_every.
@@ -126,7 +146,7 @@ class Engine {
   /// True when hooks wait and no live event is due at now(): the instant is
   /// over. (With a live event pending the heap top is a real lower bound.)
   bool instant_over() const {
-    return !instant_end_.empty() && (callbacks_.empty() || queue_.top().time > now_);
+    return !instant_end_.empty() && (live_events() == 0 || queue_.front().time > now_);
   }
   /// Run the hooks registered so far; hooks they register wait for the
   /// next round, after any events the first round scheduled at now().
@@ -137,8 +157,10 @@ class Engine {
   std::uint64_t processed_ = 0;
   std::size_t regular_pending_ = 0;
   std::size_t tombstones_ = 0;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
-  std::unordered_map<std::uint64_t, Pending> callbacks_;
+  /// Min-heap on (time, seq) under std::greater, tombstones included.
+  std::vector<QueueEntry> queue_;
+  std::vector<Pending> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<Callback> instant_end_;
   std::vector<Callback> instant_end_running_;  ///< reused batch buffer
 

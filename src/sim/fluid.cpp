@@ -145,27 +145,37 @@ FluidModel::ActivityId FluidModel::start(ActivitySpec spec) {
   if (spec.resources.empty() && !std::isfinite(spec.cap)) {
     throw std::invalid_argument("activity with no resource must have a finite cap");
   }
-  std::vector<Resource*> uses;
-  uses.reserve(spec.resources.size());
-  for (ResourceId r : spec.resources) uses.push_back(&resources_.at(r.v));
+  // A recycled slot keeps its resource list's capacity. Its address never
+  // changes (deque elements stay put), so adjacency can point at it.
+  if (free_activities_.empty()) {
+    free_activities_.push_back(static_cast<std::uint32_t>(activities_.size()));
+    activities_.emplace_back().slot = free_activities_.back();
+  }
+  Activity& node = activities_[free_activities_.back()];
+  free_activities_.pop_back();
+  node.resources.clear();
+  for (ResourceId r : spec.resources) {
+    const auto it = resources_.find(r.v);
+    if (it == resources_.end()) {  // nothing changed yet: give the slot back
+      free_activities_.push_back(node.slot);
+      throw std::out_of_range("FluidModel::start: unknown resource");
+    }
+    node.resources.push_back(&it->second);
+  }
 
   const std::uint64_t id = next_id_++;
-  Activity act;
-  act.id = id;
-  act.resources = std::move(uses);
-  act.weight = spec.weight;
-  act.cap = spec.cap;
-  act.total = spec.work;
-  act.on_complete = std::move(spec.on_complete);
-  // Wire adjacency only once the node lives in the map: its address is
-  // stable from then on (unordered_map never moves nodes on rehash).
-  Activity& node = activities_.emplace(id, std::move(act)).first->second;
+  node.id = id;
+  node.weight = spec.weight;
+  node.cap = spec.cap;
+  node.total = spec.work;
+  node.dirty = false;
+  node.on_complete = std::move(spec.on_complete);
   // A resource that had exactly one user turns shared: that user's key
   // changes, so it is re-keyed once this activity is in place.
-  std::vector<Activity*> lone;
+  s_lone_.clear();
   for (Resource* res : node.resources) {
     if (res->users.size() == 1 && res->users.front().act != &node) {
-      lone.push_back(res->users.front().act);
+      s_lone_.push_back(res->users.front().act);
     }
     // Ids are handed out monotonically, so push_back keeps `users` sorted.
     res->users.push_back(User{id, &node, nullptr});
@@ -177,14 +187,47 @@ FluidModel::ActivityId FluidModel::start(ActivitySpec spec) {
   m.last_update = engine_.now();
   key_of(node, s_key_);
   join(*class_for(s_key_), node, m);
-  for (Activity* other : lone) rekey(*other);
+  for (Activity* other : s_lone_) rekey(*other);
 
   activities_started_->inc();
   rate_recomputes_->inc();
   // The new activity may bridge previously separate components; the solve
   // at the end of the instant collects the merged (true) component.
   touch(node);
-  return ActivityId{id};
+  return ActivityId{id, node.slot};
+}
+
+// --- storage ---------------------------------------------------------------
+
+const FluidModel::Activity& FluidModel::at(ActivityId id) const {
+  if (!live(id)) throw std::out_of_range("FluidModel: activity finished or cancelled");
+  return activities_[id.slot];
+}
+
+FluidModel::Activity& FluidModel::at(ActivityId id) {
+  return const_cast<Activity&>(std::as_const(*this).at(id));
+}
+
+void FluidModel::release(Activity& act) {
+  act.id = 0;
+  act.on_complete = nullptr;
+  free_activities_.push_back(act.slot);
+}
+
+void FluidModel::release_component(std::uint32_t& slot) {
+  if (slot == kNoComp) return;
+  free_comps_.push_back(slot);
+  slot = kNoComp;
+}
+
+void FluidModel::cache_component(Activity* holder, std::uint32_t slot) {
+  if (holder == nullptr) {
+    release_component(slot);
+    return;
+  }
+  Member& m = member(*holder);
+  release_component(m.comp);
+  m.comp = slot;
 }
 
 // --- class maintenance ---------------------------------------------------
@@ -254,7 +297,7 @@ void FluidModel::join(Class& cls, Activity& act, const Member& m) {
   if (cls.members.empty() || m.id < cls.min_id) cls.min_id = m.id;
   ++cls.version;
   act.cls = &cls;
-  act.slot = cls.members.size();
+  act.pos = cls.members.size();
   cls.members.push_back(m);
   for (Resource* r : act.resources) {
     if (!r->shared()) cls.priv.push_back(r);
@@ -268,14 +311,14 @@ void FluidModel::join(Class& cls, Activity& act, const Member& m) {
 FluidModel::Member FluidModel::leave(Activity& act) {
   Class& cls = *act.cls;
   const std::size_t np = cls.key.private_caps.size();
-  const std::size_t slot = act.slot;
+  const std::size_t pos = act.pos;
   const std::size_t last = cls.members.size() - 1;
-  const Member m = cls.members[slot];
-  if (slot != last) {
-    cls.members[slot] = cls.members[last];
-    cls.members[slot].act->slot = slot;
+  const Member m = cls.members[pos];
+  if (pos != last) {
+    cls.members[pos] = cls.members[last];
+    cls.members[pos].act->pos = pos;
     std::copy_n(cls.priv.begin() + static_cast<std::ptrdiff_t>(last * np), np,
-                cls.priv.begin() + static_cast<std::ptrdiff_t>(slot * np));
+                cls.priv.begin() + static_cast<std::ptrdiff_t>(pos * np));
   }
   cls.members.pop_back();
   cls.priv.resize(last * np);
@@ -312,10 +355,10 @@ void FluidModel::rekey(Activity& act) {
   join(*class_for(s_key_), act, m);
 }
 
-FluidModel::Member& FluidModel::member(Activity& act) { return act.cls->members[act.slot]; }
+FluidModel::Member& FluidModel::member(Activity& act) { return act.cls->members[act.pos]; }
 
 const FluidModel::Member& FluidModel::member(const Activity& act) {
-  return act.cls->members[act.slot];
+  return act.cls->members[act.pos];
 }
 
 void FluidModel::detach(Activity& act) {
@@ -335,16 +378,16 @@ void FluidModel::detach(Activity& act) {
 }
 
 bool FluidModel::cancel(ActivityId id) {
-  auto it = activities_.find(id.v);
-  if (it == activities_.end()) return false;
-  Activity& act = it->second;
-  if (Member& m = member(act); m.timer.valid()) engine_.cancel(m.timer);
-  comp_cache_.erase(id.v);
+  if (!live(id)) return false;
+  Activity& act = activities_[id.slot];
+  Member& m = member(act);
+  if (m.timer.valid()) engine_.cancel(m.timer);
+  release_component(m.comp);
   // Every piece the survivors may split into keeps one of these resources,
   // so seeding the solve with them reaches all of it.
   for (Resource* r : act.resources) mark_dirty(*r);
   detach(act);
-  activities_.erase(it);
+  release(act);
   rate_recomputes_->inc();
   return true;
 }
@@ -352,7 +395,7 @@ bool FluidModel::cancel(ActivityId id) {
 void FluidModel::add_work(ActivityId id, double extra) {
   if (!std::isfinite(extra)) throw std::invalid_argument("add_work: extra not finite");
   if (extra < 0.0) throw std::invalid_argument("add_work: extra < 0");
-  Activity& act = activities_.at(id.v);
+  Activity& act = at(id);
   Member& m = member(act);
   settle(m);
   m.remaining += extra;
@@ -367,7 +410,7 @@ void FluidModel::add_work(ActivityId id, double extra) {
 void FluidModel::set_cap(ActivityId id, double cap) {
   if (std::isnan(cap)) throw std::invalid_argument("set_cap: cap is NaN");
   if (cap < 0.0) throw std::invalid_argument("set_cap: cap < 0");
-  Activity& act = activities_.at(id.v);
+  Activity& act = at(id);
   if (act.resources.empty() && !std::isfinite(cap)) {
     throw std::invalid_argument("set_cap: activity with no resource must keep a finite cap");
   }
@@ -379,13 +422,13 @@ void FluidModel::set_cap(ActivityId id, double cap) {
 
 double FluidModel::rate(ActivityId id) {
   solve_dirty();
-  return member(activities_.at(id.v)).rate;
+  return member(at(id)).rate;
 }
 
 double FluidModel::remaining(ActivityId id) const {
   // Like busy_integral(), exact with a solve pending: the stored rate is the
   // one that held since the member's last settle.
-  const Member& m = member(activities_.at(id.v));
+  const Member& m = member(at(id));
   return std::max(0.0, m.remaining - m.rate * (engine_.now() - m.last_update));
 }
 
@@ -399,7 +442,7 @@ void FluidModel::touch(Activity& act) {
   // A resource-less activity is a component of its own.
   if (act.dirty) return;
   act.dirty = true;
-  dirty_solo_.push_back(act.id);
+  dirty_solo_.push_back(ActivityId{act.id, act.slot});
   schedule_solve();
 }
 
@@ -456,10 +499,9 @@ void FluidModel::solve_dirty() {
                                      : collect_component(seed->users.front().cls, nullptr));
   }
   solve_seeds_.clear();
-  for (std::uint64_t id : dirty_solo_) {
-    auto it = activities_.find(id);
-    if (it == activities_.end()) continue;  // finished or cancelled meanwhile
-    Activity& act = it->second;
+  for (ActivityId id : dirty_solo_) {
+    if (!live(id)) continue;  // finished or cancelled meanwhile
+    Activity& act = activities_[id.slot];
     act.dirty = false;
     update_component(collect_component(act.cls, nullptr));
   }
@@ -469,39 +511,48 @@ void FluidModel::solve_dirty() {
 
 // --- solving -------------------------------------------------------------
 
-FluidModel::Component FluidModel::collect_component(Class* seed_cls, Resource* seed_res) {
+std::uint32_t FluidModel::collect_component(Class* seed_cls, Resource* seed_res) {
+  if (free_comps_.empty()) {
+    free_comps_.push_back(static_cast<std::uint32_t>(comp_store_.size()));
+    comp_store_.emplace_back();
+  }
+  const std::uint32_t slot = free_comps_.back();
+  free_comps_.pop_back();
+  Component& comp = comp_store_[slot];
   // Epoch-stamped visit marks instead of hash sets: one counter bump makes
   // every stale stamp invalid, so the BFS allocates nothing in steady state.
-  // The discovered lists double as the BFS queues.
+  // The component's own lists double as the BFS queues.
   const std::uint64_t epoch = ++visit_epoch_;
-  bfs_cls_.clear();
-  bfs_res_.clear();
+  std::vector<Class*>& classes = comp.classes;
+  std::vector<Resource*>& shared = comp.shared;
+  classes.clear();
+  shared.clear();
   if (seed_cls != nullptr) {
     seed_cls->seen = epoch;
-    bfs_cls_.push_back(seed_cls);
+    classes.push_back(seed_cls);
   }
   if (seed_res != nullptr) {
     seed_res->seen = epoch;
-    bfs_res_.push_back(seed_res);
+    shared.push_back(seed_res);
   }
   bool integral = true;
   std::size_t members = 0;
-  for (std::size_t ci = 0, ri = 0; ci < bfs_cls_.size() || ri < bfs_res_.size();) {
-    if (ci < bfs_cls_.size()) {
-      const Class* cls = bfs_cls_[ci++];
+  for (std::size_t ci = 0, ri = 0; ci < classes.size() || ri < shared.size();) {
+    if (ci < classes.size()) {
+      const Class* cls = classes[ci++];
       integral = integral && cls->integral_weight;
       members += cls->members.size();
       for (Resource* r : cls->key.shared) {
         if (r->seen != epoch) {
           r->seen = epoch;
-          bfs_res_.push_back(r);
+          shared.push_back(r);
         }
       }
     } else {
-      for (Class* cls : bfs_res_[ri++]->classes) {
+      for (Class* cls : shared[ri++]->classes) {
         if (cls->seen != epoch) {
           cls->seen = epoch;
-          bfs_cls_.push_back(cls);
+          classes.push_back(cls);
         }
       }
     }
@@ -514,16 +565,13 @@ FluidModel::Component FluidModel::collect_component(Class* seed_cls, Resource* s
   // either way: every per-resource sum runs in class or user order, and the
   // water level is an exact minimum.
   if (!integral) {
-    std::sort(bfs_cls_.begin(), bfs_cls_.end(),
+    std::sort(classes.begin(), classes.end(),
               [](const Class* a, const Class* b) { return a->min_id < b->min_id; });
   }
-  Component comp;
   comp.members = members;
-  comp.classes.assign(bfs_cls_.begin(), bfs_cls_.end());
-  comp.versions.reserve(bfs_cls_.size());
-  for (const Class* cls : bfs_cls_) comp.versions.push_back(cls->version);
-  comp.shared.assign(bfs_res_.begin(), bfs_res_.end());
-  return comp;
+  comp.versions.clear();
+  for (const Class* cls : classes) comp.versions.push_back(cls->version);
+  return slot;
 }
 
 void FluidModel::settle(Member& m) const {
@@ -713,15 +761,19 @@ FluidModel::Activity* FluidModel::arm_timer(Member* best) {
       if (m->timer.valid() && bits(m->armed_at) == bits(m->finish_at)) continue;
       if (m->timer.valid()) engine_.cancel(m->timer);
       m->armed_at = m->finish_at;
-      const std::uint64_t aid = id;
-      m->timer = engine_.schedule_at(m->finish_at, [this, aid] { on_finish_event(aid); });
+      const auto fire = [this, slot = m->act->slot, id_lo = static_cast<std::uint32_t>(id)] {
+        on_finish_event(slot, id_lo);
+      };
+      // Larger closures would make every armed timer a heap allocation.
+      static_assert(sizeof(fire) <= 2 * sizeof(void*), "timer closure outgrows std::function");
+      m->timer = engine_.schedule_at(m->finish_at, fire);
     } else {
       // This member held the timer under an older partition of the graph;
       // its cached component (if any) is superseded by the caller's.
       engine_.cancel(m->timer);
       m->timer = {};
       m->armed_at = kNever;
-      comp_cache_.erase(id);
+      release_component(m->comp);
     }
   }
   s_timed_.clear();
@@ -768,43 +820,39 @@ FluidModel::Activity* FluidModel::apply_rates(const Component& comp) {
   return arm_timer(best);
 }
 
-void FluidModel::update_component(Component comp) {
+void FluidModel::update_component(std::uint32_t slot) {
+  const Component& comp = comp_store_[slot];
   recomputes_->inc();
   component_size_->observe(static_cast<double>(comp.members));
   component_classes_->observe(static_cast<double>(comp.classes.size()));
   load_problem(comp.shared);
   for (const Class* cls : comp.classes) add_class_row(cls->key, cls->members.size());
   fill_rates();
-  Activity* holder = apply_rates(comp);
   // Hand the sorted class list to the timer holder: when its finish event
   // fires, on_finish_event reuses it instead of redoing the BFS and sort.
-  if (holder != nullptr) comp_cache_[holder->id] = std::move(comp);
+  cache_component(apply_rates(comp), slot);
 }
 
-void FluidModel::on_finish_event(std::uint64_t activity_id) {
-  auto it = activities_.find(activity_id);
-  if (it == activities_.end()) {
-    comp_cache_.erase(activity_id);
-    return;  // completed in a batch meanwhile
-  }
-  Activity& self = it->second;
-  member(self).timer = {};
-  member(self).armed_at = kNever;
+void FluidModel::on_finish_event(std::uint32_t slot, std::uint32_t id_lo) {
+  Activity& self = activities_[slot];
+  // Timers die with their activity, so this guards only against a stale
+  // fire reaching the slot's next occupant.
+  if (self.id == 0 || static_cast<std::uint32_t>(self.id) != id_lo) return;
+  Member& held = member(self);
+  held.timer = {};
+  held.armed_at = kNever;
 
   // The cached membership is exact while the component is clean: any
   // mutation reaching it since arming would have marked it dirty.
-  Component comp;
-  if (auto cit = comp_cache_.find(activity_id); cit != comp_cache_.end()) {
-    comp = std::move(cit->second);
-    comp_cache_.erase(cit);
-  } else {
-    comp = collect_component(self.cls, nullptr);
-  }
+  std::uint32_t cached = std::exchange(held.comp, kNoComp);
+  if (cached == kNoComp) cached = collect_component(self.cls, nullptr);
+  const Component& comp = comp_store_[cached];
   if (touched(comp, self)) {
     // A mutation earlier in this instant reached the component after its
     // timer was armed, so membership and rates may be stale. Solve now: the
     // fresh solve re-arms the component's timer, at this very instant if
     // something is due, and that timer completes it.
+    release_component(cached);
     solve_dirty();
     return;
   }
@@ -813,19 +861,19 @@ void FluidModel::on_finish_event(std::uint64_t activity_id) {
   // Everything in the component that is done completes in one batch, in
   // ascending id: the co-finishers would fire at this same instant anyway,
   // and batching keeps callback order independent of timer arming order.
-  std::vector<Activity*> done;
+  s_done_.clear();
   for (Class* cls : comp.classes) {
     for (const Member& m : cls->members) {
-      if (finished(m)) done.push_back(m.act);
+      if (finished(m)) s_done_.push_back(m.act);
     }
   }
-  std::sort(done.begin(), done.end(), by_id);
-  if (done.empty()) {
+  std::sort(s_done_.begin(), s_done_.end(), by_id);
+  if (s_done_.empty()) {
     // Scheduled slightly early by fp rounding; force the finish when it is
     // within kForcedFinishEta of simulated time, else re-arm.
     Member& m = member(self);
     if (m.rate > 0.0 && m.remaining / m.rate < kForcedFinishEta) {
-      done.push_back(&self);
+      s_done_.push_back(&self);
     } else {
       // This member held the component's timer; re-project its finish and
       // pick the component's earliest finisher afresh.
@@ -834,31 +882,35 @@ void FluidModel::on_finish_event(std::uint64_t activity_id) {
       for (Class* cls : comp.classes) {
         for (Member& other : cls->members) scan_timer(other, best);
       }
-      Activity* holder = arm_timer(best);
-      if (holder != nullptr) comp_cache_[holder->id] = std::move(comp);
+      cache_component(arm_timer(best), cached);
       return;
     }
   }
+  release_component(cached);
 
-  std::vector<Callback> callbacks;
-  callbacks.reserve(done.size());
-  for (Activity* act : done) {
-    if (Member& m = member(*act); m.timer.valid()) engine_.cancel(m.timer);
-    comp_cache_.erase(act->id);
+  for (Activity* act : s_done_) {
+    Member& m = member(*act);
+    if (m.timer.valid()) engine_.cancel(m.timer);
+    release_component(m.comp);
     // The survivors re-solve when the instant ends, together with whatever
     // the callbacks below start on the freed resources.
     for (Resource* r : act->resources) mark_dirty(*r);
-    // May re-key a later batch member: `done` holds activities, and each
+    // May re-key a later batch member: `s_done_` holds activities, and each
     // looks its member up afresh.
     detach(*act);
-    if (act->on_complete) callbacks.push_back(std::move(act->on_complete));
-    activities_.erase(act->id);
+    if (act->on_complete) s_callbacks_.push_back(std::move(act->on_complete));
+    release(*act);
   }
   rate_recomputes_->inc();
 
   // Callbacks run last: the model is consistent and reentrant calls
-  // (start/cancel) only mark more of it dirty for the same solve.
-  for (Callback& cb : callbacks) cb();
+  // (start/cancel) only mark more of it dirty for the same solve. The batch
+  // is swapped out first, so a nested finish would fill a buffer of its own.
+  std::vector<Callback> batch;
+  batch.swap(s_callbacks_);
+  for (Callback& cb : batch) cb();
+  batch.clear();
+  s_callbacks_.swap(batch);
 }
 
 // --- reference oracle ----------------------------------------------------
@@ -876,11 +928,18 @@ void FluidModel::maybe_verify() {
 }
 
 void FluidModel::verify_all_components() {
-  // Every live activity, ascending by id.
+  // Every live activity, ascending by id; the storage must account for
+  // every slot.
   std::vector<Activity*> acts;
   acts.reserve(activities_.size());
-  // vlint: allow(no-unordered-iteration) audited PR 8: collects pointers, sorted by id before use
-  for (auto& [aid, act] : activities_) acts.push_back(&act);
+  for (std::size_t slot = 0; slot < activities_.size(); ++slot) {
+    Activity& act = activities_[slot];
+    if (act.slot != slot) oracle_abort("activity slot out of date", act.id);
+    if (act.id != 0) acts.push_back(&act);
+  }
+  if (acts.size() + free_activities_.size() != activities_.size()) {
+    oracle_abort("activity free list out of date", 0);
+  }
   std::sort(acts.begin(), acts.end(), by_id);
 
   // 1. Re-derive every class from raw state: user counts come from the
@@ -918,8 +977,8 @@ void FluidModel::verify_all_components() {
   for (std::size_t a = 0; a < acts.size(); ++a) {
     const Activity& act = *acts[a];
     const Class* cls = act.cls;
-    if (cls == nullptr || act.slot >= cls->members.size() ||
-        cls->members[act.slot].act != &act || cls->members[act.slot].id != act.id) {
+    if (cls == nullptr || act.pos >= cls->members.size() ||
+        cls->members[act.pos].act != &act || cls->members[act.pos].id != act.id) {
       oracle_abort("member slot out of date", act.id);
     }
     if (!(cls->key == raw[a])) oracle_abort("stale class key", act.id);
@@ -954,6 +1013,21 @@ void FluidModel::verify_all_components() {
         oracle_abort("class missing from a resource's adjacency", cls.min_id);
       }
     }
+  }
+
+  // Each cached component belongs to one armed timer holder, and every
+  // other component slot is free.
+  std::size_t cached = 0;
+  for (const Activity* act : acts) {
+    const Member& m = member(*act);
+    if (m.comp == kNoComp) continue;
+    if (!m.timer.valid() || m.comp >= comp_store_.size()) {
+      oracle_abort("component cached without a timer", act->id);
+    }
+    ++cached;
+  }
+  if (cached + free_comps_.size() != comp_store_.size()) {
+    oracle_abort("component slot leaked or held twice", 0);
   }
 
   // 3. The reference solve: one global progressive filling over the

@@ -99,8 +99,12 @@ class FluidModel {
     bool valid() const { return v != 0; }
     bool operator==(const ResourceId&) const = default;
   };
+  /// Opaque activity handle: the activity's id and its storage slot. A
+  /// slot is reused once its activity finishes or is cancelled; the id tells
+  /// the new occupant apart, so a stale handle never reaches it.
   struct ActivityId {
     std::uint64_t v = 0;
+    std::uint32_t slot = 0;
     bool valid() const { return v != 0; }
     bool operator==(const ActivityId&) const = default;
   };
@@ -155,19 +159,24 @@ class FluidModel {
   /// if it already completed or was cancelled.
   bool cancel(ActivityId id);
   /// Extend an in-flight activity by `extra` (finite, >= 0) work units.
+  /// Like set_cap, rate and remaining, throws std::out_of_range on the
+  /// handle of an activity that completed or was cancelled.
   void add_work(ActivityId id, double extra);
   /// Change the rate cap of an in-flight activity (0 pauses it; +inf lifts
   /// it, unless the activity uses no resource; NaN throws).
   void set_cap(ActivityId id, double cap);
-  bool active(ActivityId id) const { return activities_.contains(id.v); }
+  bool active(ActivityId id) const { return live(id); }
   double rate(ActivityId id);
   double remaining(ActivityId id) const;
 
-  std::size_t active_count() const { return activities_.size(); }
+  std::size_t active_count() const { return activities_.size() - free_activities_.size(); }
 
  private:
   struct Activity;
   struct Class;
+
+  /// "No slot" in comp_store_.
+  static constexpr std::uint32_t kNoComp = ~std::uint32_t{0};
 
   /// One entry of a resource's user list. The class pointer mirrors the
   /// user's current class, so allocation sums never leave the resource.
@@ -197,7 +206,7 @@ class FluidModel {
     std::uint64_t id = 0;
     /// Users ascending by id (ids are handed out monotonically); an
     /// activity listing the resource twice appears twice. Raw pointers:
-    /// unordered_map nodes are pointer-stable across rehashes.
+    /// activities live in a deque, whose elements never move.
     std::vector<User> users;
     /// Distinct classes whose key holds this (shared) resource: the class
     /// graph's adjacency. Empty while the resource has fewer than 2 users.
@@ -207,6 +216,8 @@ class FluidModel {
     bool shared() const { return users.size() >= 2; }
   };
 
+  /// One slot of the activity store; `id` is 0 while the slot is free. A
+  /// recycled slot keeps its `resources` capacity.
   struct Activity {
     std::uint64_t id = 0;
     std::vector<Resource*> resources;
@@ -215,7 +226,9 @@ class FluidModel {
     double total = 0.0;
     /// Current class and index into its member array.
     Class* cls = nullptr;
-    std::size_t slot = 0;
+    std::size_t pos = 0;
+    /// Position in activities_ (the handle's slot).
+    std::uint32_t slot = 0;
     /// Touched this instant while using no resource (a resource-less
     /// activity is its own component and has no resource to mark).
     bool dirty = false;
@@ -240,6 +253,9 @@ class FluidModel {
     /// Engine timer, armed only while this member is its component's
     /// earliest finisher (one live timer per component).
     Engine::EventId timer{};
+    /// Slot in comp_store_ of the component cached for this timer holder
+    /// (kNoComp when none is).
+    std::uint32_t comp = kNoComp;
     /// Remaining work changed without a rate change (add_work): the next
     /// solve must re-project the finish even if the rate stays put.
     bool reproject = false;
@@ -292,6 +308,23 @@ class FluidModel {
     std::size_t members = 0;
   };
 
+  // --- storage -------------------------------------------------------------
+  /// The handle's slot holds the activity it names: not finished, not
+  /// cancelled, not replaced by a later activity.
+  bool live(ActivityId id) const {
+    return id.valid() && id.slot < activities_.size() && activities_[id.slot].id == id.v;
+  }
+  /// The activity a live handle names; std::out_of_range on a dead one.
+  Activity& at(ActivityId id);
+  const Activity& at(ActivityId id) const;
+  /// Free a finished or cancelled activity's slot (after detach).
+  void release(Activity& act);
+  /// Free a cached component's slot, if `slot` holds one, and clear it.
+  void release_component(std::uint32_t& slot);
+  /// Hand the solved component in `slot` to the timer holder, replacing
+  /// the one it held; with no holder, free the slot.
+  void cache_component(Activity* holder, std::uint32_t slot);
+
   // --- class maintenance -------------------------------------------------
   /// Write act's current key into `key` (reusing its buffers).
   void key_of(const Activity& act, ClassKey& key) const;
@@ -308,11 +341,13 @@ class FluidModel {
   static Member& member(Activity& act);
   static const Member& member(const Activity& act);
 
-  /// BFS over classes and shared resources from one seed. Classes come out
-  /// in discovery order when every weight is integral (each weight sum is
-  /// then exact in any order), else sorted by smallest member id, so rates
-  /// are always a function of the component's state alone.
-  Component collect_component(Class* seed_cls, Resource* seed_res);
+  /// BFS over classes and shared resources from one seed, into a recycled
+  /// component of comp_store_ (its slot is returned; its vectors keep their
+  /// capacity). Classes come out in discovery order when every weight is
+  /// integral (each weight sum is then exact in any order), else sorted by
+  /// smallest member id, so rates are always a function of the component's
+  /// state alone.
+  std::uint32_t collect_component(Class* seed_cls, Resource* seed_res);
   /// Queue a touched resource for the solve round at the end of the
   /// current instant.
   void mark_dirty(Resource& res);
@@ -352,10 +387,10 @@ class FluidModel {
   /// timer if its earliest ETA moved. Returns the member holding the
   /// component's timer (null when none finishes).
   Activity* apply_rates(const Component& comp);
-  /// Solve + apply for one dirty component (metrics included). Takes the
-  /// component by value: it is moved into comp_cache_ under the timer
-  /// holder, so the holder's finish event can reuse it without a BFS.
-  void update_component(Component comp);
+  /// Solve + apply for the collected component in `slot` (metrics
+  /// included). The component is then cached under the timer holder, so
+  /// the holder's finish event can reuse it without a BFS.
+  void update_component(std::uint32_t slot);
   /// Timer scan over a component's members, one call per member: tracks
   /// the earliest projected finisher (smallest id on ties) in `best` and
   /// collects every member holding a timer.
@@ -367,7 +402,9 @@ class FluidModel {
   Activity* arm_timer(Member* best);
   /// Recompute `m.finish_at` from rate/remaining as of now.
   void project_finish(Member& m) const;
-  void on_finish_event(std::uint64_t activity_id);
+  /// The timer of the activity in `slot` fired; `id_lo` is the low half of
+  /// its id (the closure must fit std::function's local buffer).
+  void on_finish_event(std::uint32_t slot, std::uint32_t id_lo);
   /// Unlink a departing activity from its resources and its class, and
   /// re-key users left alone on a resource.
   void detach(Activity& act);
@@ -398,7 +435,11 @@ class FluidModel {
   std::uint64_t verify_tick_ = 0;
   std::uint64_t next_id_ = 1;
   std::unordered_map<std::uint64_t, Resource> resources_;
-  std::unordered_map<std::uint64_t, Activity> activities_;
+  /// Activity storage, indexed by the handles' slots. A deque: resources'
+  /// user lists, members and classes hold Activity pointers, and deque
+  /// elements never move. Freed slots are reused through free_activities_.
+  std::deque<Activity> activities_;
+  std::vector<std::uint32_t> free_activities_;
   /// Class storage: deque slots are pointer-stable; emptied classes are
   /// recycled through free_classes_.
   std::deque<Class> class_store_;
@@ -407,18 +448,20 @@ class FluidModel {
   /// holds its own key, so the index stores none). Classes without one are
   /// singletons and never looked up.
   std::unordered_multimap<std::size_t, Class*> class_index_;
-  /// Solved component of each armed timer holder, keyed by its activity id.
-  /// Valid while the component is clean: any mutation touching it marks it
-  /// dirty, and the solve at the end of the instant re-arms and replaces
-  /// the entry. A timer that fires while its component is clean therefore
-  /// finds membership exactly as it was at arming time, and the finish
-  /// path needs neither a BFS nor a sort. Entries die with their timer
-  /// (consumed on fire, erased on cancel/re-arm).
-  std::unordered_map<std::uint64_t, Component> comp_cache_;
+  /// Component storage, recycled through free_comps_. Each armed timer
+  /// holder's member keeps its solved component here (Member::comp). It is
+  /// valid while the component is clean: any mutation touching it marks it
+  /// dirty, and the solve at the end of the instant re-arms the timer and
+  /// replaces the component. A timer that fires while its component is
+  /// clean therefore finds membership exactly as it was at arming time, and
+  /// the finish path needs neither a BFS nor a sort. A cached component dies
+  /// with its timer: consumed on fire, freed on cancel, finish and re-arm.
+  std::deque<Component> comp_store_;
+  std::vector<std::uint32_t> free_comps_;
   /// Dirty seeds of the current instant, in first-touched order: resources,
-  /// then resource-less activities by id (they may be gone by solve time).
+  /// then resource-less activities (they may be gone by solve time).
   std::vector<Resource*> dirty_res_;
-  std::vector<std::uint64_t> dirty_solo_;
+  std::vector<ActivityId> dirty_solo_;
   /// An end-of-instant hook is registered with the engine.
   bool solve_scheduled_ = false;
   obs::Counter* activities_started_;
@@ -427,13 +470,17 @@ class FluidModel {
   obs::Histogram* component_size_;
   obs::Histogram* component_classes_;
 
-  // Scratch reused across calls so the per-event hot path (BFS + solve on
-  // the dirty component) allocates nothing in steady state. The engine is
-  // single-threaded and no solve nests inside another, so sharing is safe.
+  // Scratch reused across calls so the per-event hot path (start, BFS +
+  // solve on the dirty component, finish) allocates nothing in steady state.
+  // The engine is single-threaded and no solve nests inside another, so
+  // sharing is safe.
   std::uint64_t visit_epoch_ = 0;
-  std::vector<Class*> bfs_cls_;
-  std::vector<Resource*> bfs_res_;
   std::vector<Resource*> solve_seeds_;
+  /// start(): users left alone on a resource the new activity joins.
+  std::vector<Activity*> s_lone_;
+  /// on_finish_event(): the finishing batch and its callbacks.
+  std::vector<Activity*> s_done_;
+  std::vector<Callback> s_callbacks_;
   std::vector<std::pair<std::uint64_t, Member*>> s_timed_;
   ClassKey s_key_;
   // The loaded problem: per shared resource (capacity, slack, unfrozen

@@ -118,8 +118,9 @@ double TraceReplayer::run_to_completion() {
   start();
   // Drive through the quiet gaps: daemon arrivals alone never satisfy
   // Engine::run(), so walk the clock to the last arrival first, then drain
-  // the remaining regular (job) events.
-  engine_.run_until(epoch_ + trace_.last_arrival());
+  // the remaining regular (job) events. An engine already driven past the
+  // last arrival has fired every arrival; its clock stays where it is.
+  engine_.run_until(std::max(engine_.now(), epoch_ + trace_.last_arrival()));
   engine_.run();
   // vlint: allow(no-exact-float-compare) audited PR 8: 0.0 is the never-assigned sentinel; real finishes are positive sim times
   if (trace_.records.empty() || last_finish_ == 0.0) return 0.0;

@@ -100,6 +100,64 @@ TEST(Engine, RunUntilStopsAtHorizon) {
   EXPECT_DOUBLE_EQ(e.now(), 20.0);
 }
 
+TEST(Engine, RunUntilRejectsAPastOrNonFiniteHorizonAndChangesNothing) {
+  Engine e;
+  int fired = 0;
+  e.schedule_at(5.0, [&] { ++fired; });
+  e.schedule_at(10.0, [&] { ++fired; });
+  EXPECT_TRUE(e.run_until(6.0));
+  ASSERT_EQ(fired, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {2.0, nan, inf, -inf}) {
+    EXPECT_THROW(e.run_until(t), std::invalid_argument) << t;
+    EXPECT_EQ(fired, 1) << t;
+    EXPECT_DOUBLE_EQ(e.now(), 6.0) << t;
+    EXPECT_EQ(e.pending(), 1u) << t;
+  }
+  // The clock never ran backwards, so the past stays closed.
+  EXPECT_THROW(e.schedule_at(3.0, [] {}), std::invalid_argument);
+  // Slop below kEps is absorbed, as schedule_at absorbs it.
+  EXPECT_TRUE(e.run_until(6.0 - kEps / 2));
+  EXPECT_DOUBLE_EQ(e.now(), 6.0);
+  EXPECT_FALSE(e.run_until(10.0));
+  EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(e.now(), 10.0);
+}
+
+TEST(Engine, StaleHandleOfAFiredEventMissesTheLaterEventInItsSlot) {
+  Engine e;
+  int first = 0, second = 0;
+  const Engine::EventId old = e.schedule_at(1.0, [&] { ++first; });
+  ASSERT_TRUE(e.step());
+  const Engine::EventId later = e.schedule_at(2.0, [&] { ++second; });
+  ASSERT_EQ(later.slot, old.slot);  // the freed slot was reused
+  EXPECT_FALSE(e.cancel(old));
+  EXPECT_EQ(e.pending(), 1u);
+  e.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(Engine, StaleHandleOfACancelledEventMissesTheLaterEventInItsSlot) {
+  Engine e;
+  int first = 0, second = 0;
+  const Engine::EventId old = e.schedule_at(1.0, [&] { ++first; });
+  ASSERT_TRUE(e.cancel(old));
+  const Engine::EventId later = e.schedule_at(1.0, [&] { ++second; });
+  ASSERT_EQ(later.slot, old.slot);
+  EXPECT_FALSE(e.cancel(old));
+  EXPECT_EQ(e.pending(), 1u);
+  // The cancelled event's heap entry is a tombstone for the same slot and
+  // time; it must not fire the later event twice or skip it.
+  e.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(e.processed(), 1u);
+  EXPECT_FALSE(e.cancel(later));
+}
+
 TEST(Engine, EventsScheduledDuringRunAreProcessed) {
   Engine e;
   int chain = 0;

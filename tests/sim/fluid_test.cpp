@@ -200,6 +200,44 @@ TEST_F(FluidTest, CancelRemovesActivityAndFreesShare) {
   model.cancel(b);
 }
 
+/// A stale handle (its activity finished or was cancelled, and a new
+/// activity took its slot) must reach nothing.
+void expect_dead_handle_and_live_successor(FluidModel& model, FluidModel::ActivityId old,
+                                           FluidModel::ActivityId next) {
+  ASSERT_EQ(next.slot, old.slot);  // the freed slot was reused
+  EXPECT_FALSE(model.active(old));
+  EXPECT_FALSE(model.cancel(old));
+  EXPECT_THROW(model.rate(old), std::out_of_range);
+  EXPECT_THROW(model.remaining(old), std::out_of_range);
+  EXPECT_THROW(model.add_work(old, 1.0), std::out_of_range);
+  EXPECT_THROW(model.set_cap(old, 1.0), std::out_of_range);
+  EXPECT_TRUE(model.active(next));
+  EXPECT_EQ(model.active_count(), 1u);
+  EXPECT_DOUBLE_EQ(model.rate(next), 10.0);
+  EXPECT_DOUBLE_EQ(model.remaining(next), 100.0);
+}
+
+TEST_F(FluidTest, HandleOfAFinishedActivityMissesItsSlotsNextOccupant) {
+  auto r = model.add_resource("link", 10.0);
+  const auto old = model.start({.work = 10.0, .resources = {r}});
+  engine.run();
+  ASSERT_FALSE(model.active(old));
+  const auto next = model.start({.work = 100.0, .resources = {r}});
+  expect_dead_handle_and_live_successor(model, old, next);
+  engine.run();
+  EXPECT_DOUBLE_EQ(engine.now(), 11.0);
+}
+
+TEST_F(FluidTest, HandleOfACancelledActivityMissesItsSlotsNextOccupant) {
+  auto r = model.add_resource("link", 10.0);
+  const auto old = model.start({.work = 10.0, .resources = {r}});
+  ASSERT_TRUE(model.cancel(old));
+  const auto next = model.start({.work = 100.0, .resources = {r}});
+  expect_dead_handle_and_live_successor(model, old, next);
+  engine.run();
+  EXPECT_DOUBLE_EQ(engine.now(), 10.0);
+}
+
 TEST_F(FluidTest, AddWorkExtendsCompletion) {
   auto r = model.add_resource("link", 10.0);
   double done = -1.0;

@@ -208,6 +208,38 @@ TEST(TraceReplayer, SurvivesQuietGapsInTheTrace) {
   EXPECT_GE(makespan, 3600.0);  // the tail job really ran after the gap
 }
 
+// An engine driven past the last arrival before run_to_completion() has
+// fired every arrival already: the replay must still drain and finish, and
+// the clock must not be sent back to the last arrival.
+TEST(TraceReplayer, CompletesOnAnEngineAlreadyDrivenPastTheLastArrival) {
+  workloads::WorkloadTrace trace;
+  for (double t : {0.0, 1.0}) {
+    workloads::TraceRecord r;
+    r.arrival_seconds = t;
+    r.family = workloads::JobFamily::Mrbench;
+    r.input_mb = 8.0;
+    trace.records.push_back(r);
+  }
+  auto cluster = testutil::SimCluster::make(2, false, hadoop_config(SchedulerPolicy::Fifo));
+  auto* runner = cluster->runner.get();
+  workloads::TraceReplayer replayer(
+      cluster->engine, cluster->engine.metrics(), trace,
+      [runner](mapreduce::SimJobSpec spec,
+               std::function<void(const mapreduce::JobTimeline&)> done) {
+        runner->submit(std::move(spec), std::move(done));
+      });
+  replayer.start();
+  const double epoch = cluster->engine.now();
+  cluster->engine.run_until(epoch + 2.0);
+  ASSERT_LT(replayer.completed(), 2);  // a job is still running
+  double makespan = 0.0;
+  EXPECT_NO_THROW(makespan = replayer.run_to_completion());
+  EXPECT_TRUE(replayer.finished());
+  EXPECT_EQ(replayer.completed(), 2);
+  EXPECT_GT(makespan, 2.0);
+  EXPECT_GT(cluster->engine.now(), epoch + 2.0);
+}
+
 // Rejections surface in the per-queue admission counter, not just totals.
 TEST(TraceReplayer, RejectionsLandInPerQueueCounters) {
   workloads::WorkloadTrace trace;
