@@ -17,12 +17,16 @@ struct CanopyConfig {
   ClusteringConfig base;
 };
 
-/// The sequential canopy kernel, reused verbatim by the mapper (over split
-/// points) and the reducer (over local centers).
+/// Canopy selection over `points`, sequentially. canopy_cluster's mapper
+/// (over its split's points) and reducer (over the mappers' local centers)
+/// run the same kernel, each over its points copied into a PointMatrix.
+/// Unless T1 >= T2 >= 0 (NaN fails), or if the points differ in dimension,
+/// throws std::invalid_argument.
 std::vector<Vec> canopy_centers(std::span<const Vec> points, double t1, double t2);
 
 /// Run the one-job MapReduce canopy driver and assign every point to its
-/// nearest canopy.
+/// nearest canopy. Thresholds are checked as in canopy_centers, before the
+/// job runs.
 ClusteringRun canopy_cluster(const Dataset& data, const CanopyConfig& config);
 
 }  // namespace vhadoop::ml

@@ -22,16 +22,19 @@ int nearest_center(const Vec& point, const std::vector<Vec>& centers) {
   return best;
 }
 
-CenterMatrix::CenterMatrix(const std::vector<Vec>& centers)
-    : rows_(centers.size()), cols_(centers.empty() ? 0 : centers[0].size()) {
-  data_.reserve(rows_ * cols_);
-  for (const Vec& c : centers) {
-    if (c.size() != cols_) throw std::invalid_argument("CenterMatrix: ragged centers");
-    data_.insert(data_.end(), c.begin(), c.end());
-  }
+PointMatrix::PointMatrix(std::span<const Vec> points) {
+  data_.reserve(points.empty() ? 0 : points.size() * points[0].size());
+  for (const Vec& p : points) push(p);
 }
 
-int nearest_center(std::span<const double> point, const CenterMatrix& centers) {
+void PointMatrix::push(std::span<const double> point) {
+  if (rows_ == 0) cols_ = point.size();
+  if (point.size() != cols_) throw std::invalid_argument("dimension mismatch");
+  data_.insert(data_.end(), point.begin(), point.end());
+  ++rows_;
+}
+
+int nearest_center(std::span<const double> point, const PointMatrix& centers) {
   if (centers.rows() == 0) throw std::invalid_argument("nearest_center: no centers");
   int best = 0;
   double best_d = std::numeric_limits<double>::infinity();
@@ -57,7 +60,7 @@ std::vector<int> assign_nearest(const Dataset& data, const std::vector<Vec>& cen
   // One pool index per block: a point's scan costs tens of nanoseconds, a
   // contended claim on the pool's counters about half a microsecond.
   constexpr std::size_t kBlock = 256;
-  const CenterMatrix flat(centers);
+  const PointMatrix flat(centers);
   const std::size_t n = data.size();
   std::vector<int> assignments(n);
   const std::size_t blocks = (n + kBlock - 1) / kBlock;

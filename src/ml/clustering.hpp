@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mapreduce/job.hpp"
@@ -47,17 +50,24 @@ double total_cost(const Dataset& data, const std::vector<Vec>& centers);
 /// Nearest-center index (squared Euclidean).
 int nearest_center(const Vec& point, const std::vector<Vec>& centers);
 
-/// Row-major flat center storage: one contiguous buffer instead of k
-/// separately heap-allocated Vecs, so a nearest-center scan walks memory
-/// linearly (the hot loop of every k-means-family iteration).
-class CenterMatrix {
+/// Row-major point store: rows of one dimension in one contiguous buffer
+/// instead of separately heap-allocated Vecs, so a scan over them walks
+/// memory linearly. It holds a k-means-family iteration's centers, the
+/// points canopy selects from and MeanShift's canopy centers. The first
+/// row fixes the dimension.
+class PointMatrix {
  public:
-  CenterMatrix() = default;
-  explicit CenterMatrix(const std::vector<Vec>& centers);
+  PointMatrix() = default;
+  explicit PointMatrix(std::span<const Vec> points);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::span<const double> row(std::size_t i) const { return {data_.data() + i * cols_, cols_}; }
+  std::span<double> row(std::size_t i) { return {data_.data() + i * cols_, cols_}; }
+
+  /// Appends a row. A row of another dimension would misalign every later
+  /// one, so it throws std::invalid_argument("dimension mismatch").
+  void push(std::span<const double> point);
 
  private:
   std::vector<double> data_;
@@ -67,7 +77,33 @@ class CenterMatrix {
 
 /// Nearest-center index against flat row-major centers; identical distance
 /// arithmetic (and therefore identical ties/results) to the Vec overload.
-int nearest_center(std::span<const double> point, const CenterMatrix& centers);
+int nearest_center(std::span<const double> point, const PointMatrix& centers);
+
+/// The value payload of a weighted vector, [weight, v...]: the k-means
+/// family's per-center partials and MeanShift's canopies travel in it.
+/// The layout is encode_vec's, written with no intermediate vector.
+inline std::string encode_weighted(double weight, std::span<const double> v) {
+  std::string out((v.size() + 1) * sizeof(double), '\0');
+  std::memcpy(out.data(), &weight, sizeof(double));
+  if (!v.empty()) std::memcpy(out.data() + sizeof(double), v.data(), v.size() * sizeof(double));
+  return out;
+}
+
+/// A decoded [weight, v...] payload; `v` views the payload or the
+/// decoder's scratch.
+struct Weighted {
+  double weight = 0.0;
+  std::span<const double> v;
+};
+
+/// Reads an encode_weighted payload in place under decode_vec_view's
+/// rules: `scratch` holds the copy of an unaligned one. An empty payload
+/// reads as weight 0 and an empty v.
+inline Weighted decode_weighted(std::string_view s, std::vector<double>& scratch) {
+  const std::span<const double> payload = mapreduce::decode_vec_view(s, scratch);
+  if (payload.empty()) return {};
+  return {payload[0], payload.subspan(1)};
+}
 
 /// Final O(n·k) assignment pass, parallelized over the process-wide pool
 /// for `threads` workers (0 = default), the one the runners borrow. Each

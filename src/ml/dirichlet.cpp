@@ -152,12 +152,7 @@ class DirichletReducer : public mapreduce::Reducer {
       if (payload.size() < 2) continue;
       count += payload[0];
       sumsq += payload[1];
-      const auto s = payload.subspan(2);
-      if (sum_.empty()) sum_.assign(s.begin(), s.end());
-      else {
-        check_same_dim(sum_, s);
-        for (std::size_t i = 0; i < s.size(); ++i) sum_[i] += s[i];
-      }
+      add_in_place(sum_, payload.subspan(2));
     }
     ctx.emit(key, encode_stats(count, sumsq, sum_));
   }

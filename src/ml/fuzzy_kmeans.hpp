@@ -8,11 +8,13 @@ namespace vhadoop::ml {
 /// clustering where point i belongs to cluster j with membership
 /// u_ij = 1 / sum_k (d_ij / d_ik)^(2/(m-1)). Each iteration's mapper emits
 /// membership-weighted partial sums to *every* cluster; the reducer forms
-/// the new centers as weighted means.
+/// the new centers as weighted means. It runs k-means's iteration loop
+/// (`iterate_centers`, kmeans.hpp) with its own per-point weighting.
 struct FuzzyKMeansConfig {
   int k = 6;
   /// Fuzziness exponent m > 1 (Mahout default 2.0; m -> 1 approaches hard
-  /// k-means).
+  /// k-means). Anything else, NaN included, throws std::invalid_argument
+  /// before the first job.
   double m = 2.0;
   ClusteringConfig base;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -11,42 +10,17 @@ namespace vhadoop::ml {
 
 namespace {
 
-struct Canopy {
-  double weight = 1.0;
-  Vec center;
-};
-
-std::string encode_canopy(double weight, std::span<const double> center) {
-  std::string out((center.size() + 1) * sizeof(double), '\0');
-  std::memcpy(out.data(), &weight, sizeof(double));
-  if (!center.empty()) {
-    std::memcpy(out.data() + sizeof(double), center.data(), center.size() * sizeof(double));
-  }
-  return out;
-}
-
-Canopy decode_canopy(std::string_view s) {
-  Vec payload = mapreduce::decode_vec(s);
-  Canopy c;
-  c.weight = payload.empty() ? 0.0 : payload[0];
-  c.center.assign(payload.begin() + (payload.empty() ? 0 : 1), payload.end());
-  return c;
-}
-
-/// Canopy population in row-major flat storage: the O(n^2) neighbourhood
-/// scans of shift_and_merge walk two contiguous buffers.
+/// Canopy population: weights beside a row-major center store, so the
+/// O(n^2) neighbourhood scans of shift_and_merge walk two contiguous
+/// buffers.
 struct FlatCanopies {
   std::vector<double> weights;
-  std::vector<double> centers;  // row-major size() x dim
-  std::size_t dim = 0;
+  PointMatrix centers;
 
   std::size_t size() const { return weights.size(); }
-  std::span<const double> center(std::size_t i) const { return {centers.data() + i * dim, dim}; }
-  /// A center of another dimension would misalign every later row.
   void push(double w, std::span<const double> c) {
-    if (c.size() != dim) throw std::invalid_argument("dimension mismatch");
+    centers.push(c);
     weights.push_back(w);
-    centers.insert(centers.end(), c.begin(), c.end());
   }
 };
 
@@ -63,12 +37,12 @@ struct FlatCanopies {
 FlatCanopies shift_and_merge(const FlatCanopies& in, double t1, double t2) {
   const double t1_sq = t1 * t1, t2_sq = t2 * t2;
   const std::size_t n = in.size();
-  const std::size_t dim = in.dim;
+  const std::size_t dim = in.centers.cols();
   const std::size_t words = (n + 63) / 64;
   std::vector<std::uint64_t> neighbours(n * words, 0);  // row i: canopy i's T1 bits
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t o = i; o < n; ++o) {
-      if (squared_euclidean(in.center(i), in.center(o)) <= t1_sq) {
+      if (squared_euclidean(in.centers.row(i), in.centers.row(o)) <= t1_sq) {
         neighbours[i * words + o / 64] |= std::uint64_t{1} << (o % 64);
         neighbours[o * words + i / 64] |= std::uint64_t{1} << (i % 64);
       }
@@ -82,7 +56,7 @@ FlatCanopies shift_and_merge(const FlatCanopies& in, double t1, double t2) {
     for (std::size_t w = 0; w < words; ++w) {
       for (std::uint64_t bits = neighbours[i * words + w]; bits != 0; bits &= bits - 1) {
         const std::size_t o = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        const auto oc = in.center(o);
+        const auto oc = in.centers.row(o);
         for (std::size_t d = 0; d < dim; ++d) sum[d] += oc[d] * in.weights[o];
         weight += in.weights[o];
       }
@@ -93,16 +67,15 @@ FlatCanopies shift_and_merge(const FlatCanopies& in, double t1, double t2) {
     std::copy(sum.begin(), sum.end(), shifted.begin() + static_cast<std::ptrdiff_t>(i * dim));
   }
   FlatCanopies merged;
-  merged.dim = dim;
   for (std::size_t i = 0; i < n; ++i) {
     const std::span<const double> c{shifted.data() + i * dim, dim};
     const double cw = in.weights[i];
     bool absorbed = false;
     for (std::size_t m = 0; m < merged.size(); ++m) {
-      if (squared_euclidean(c, merged.center(m)) <= t2_sq) {
+      if (squared_euclidean(c, merged.centers.row(m)) <= t2_sq) {
         // Weighted average of the two centers.
         const double w = merged.weights[m] + cw;
-        double* mc = merged.centers.data() + m * dim;
+        const std::span<double> mc = merged.centers.row(m);
         for (std::size_t d = 0; d < dim; ++d) {
           mc[d] = (mc[d] * merged.weights[m] + c[d] * cw) / w;
         }
@@ -121,16 +94,15 @@ class MeanShiftMapper : public mapreduce::Mapper {
   MeanShiftMapper(double t1, double t2) : t1_(t1), t2_(t2) {}
 
   void map(std::string_view, std::string_view value, mapreduce::Context&) override {
-    const auto payload = mapreduce::decode_vec_view(value, scratch_);
-    if (payload.empty()) return;  // no weight, no center — nothing to shift
-    if (canopies_.size() == 0) canopies_.dim = payload.size() - 1;
-    canopies_.push(payload[0], payload.subspan(1));
+    if (value.empty()) return;  // no weight, no center — nothing to shift
+    const Weighted c = decode_weighted(value, scratch_);
+    canopies_.push(c.weight, c.v);
   }
 
   void cleanup(mapreduce::Context& ctx) override {
     const FlatCanopies out = shift_and_merge(canopies_, t1_, t2_);
     for (std::size_t i = 0; i < out.size(); ++i) {
-      ctx.emit("canopy", encode_canopy(out.weights[i], out.center(i)));
+      ctx.emit("canopy", encode_weighted(out.weights[i], out.centers.row(i)));
     }
   }
 
@@ -147,17 +119,16 @@ class MeanShiftReducer : public mapreduce::Reducer {
   void reduce(std::string_view, const std::vector<std::string_view>& values,
               mapreduce::Context& ctx) override {
     FlatCanopies all;
-    for (auto v : values) {
-      const auto payload = mapreduce::decode_vec_view(v, scratch_);
-      if (payload.empty()) continue;
-      if (all.size() == 0) all.dim = payload.size() - 1;
-      all.push(payload[0], payload.subspan(1));
+    for (const std::string_view v : values) {
+      if (v.empty()) continue;
+      const Weighted c = decode_weighted(v, scratch_);
+      all.push(c.weight, c.v);
     }
     const FlatCanopies out = shift_and_merge(all, t1_, t2_);
     for (std::size_t i = 0; i < out.size(); ++i) {
       std::string key = "c";
       key += std::to_string(i);
-      ctx.emit(key, encode_canopy(out.weights[i], out.center(i)));
+      ctx.emit(key, encode_weighted(out.weights[i], out.centers.row(i)));
     }
   }
 
@@ -169,18 +140,23 @@ class MeanShiftReducer : public mapreduce::Reducer {
 }  // namespace
 
 ClusteringRun meanshift_cluster(const Dataset& data, const MeanShiftConfig& config) {
+  // NaN fails every comparison, so `t < 0` alone would let it through.
+  if (!(config.t1 >= 0.0 && config.t2 >= 0.0)) {
+    throw std::invalid_argument("meanshift: need T1 >= 0 and T2 >= 0");
+  }
   // Every point starts as a unit-weight canopy.
   std::vector<mapreduce::KV> state;
   state.reserve(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
     state.push_back({mapreduce::encode_i64(static_cast<std::int64_t>(i)),
-                     encode_canopy(1.0, data.points[i])});
+                     encode_weighted(1.0, data.points[i])});
   }
 
   const mapreduce::RunJob run_job = job_runner(config.base);
   ClusteringRun run;
   run.algorithm = "meanshift";
   std::vector<Vec> prev_centers;
+  std::vector<double> scratch;
 
   for (int iter = 0; iter < config.base.max_iterations; ++iter) {
     mapreduce::JobSpec spec;
@@ -198,8 +174,8 @@ ClusteringRun meanshift_cluster(const Dataset& data, const MeanShiftConfig& conf
     std::vector<Vec> centers;
     state.clear();
     for (const mapreduce::KV& kv : result.output) {
-      Canopy c = decode_canopy(kv.value);
-      centers.push_back(c.center);
+      const Weighted c = decode_weighted(kv.value, scratch);
+      centers.emplace_back(c.v.begin(), c.v.end());
       state.push_back({kv.key, kv.value});
     }
     run.jobs.push_back(std::move(result));

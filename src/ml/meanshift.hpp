@@ -16,6 +16,8 @@ struct MeanShiftConfig {
   ClusteringConfig base;
 };
 
+/// A NaN or negative threshold throws std::invalid_argument before the
+/// first job; so do points of different dimensions, from the job.
 ClusteringRun meanshift_cluster(const Dataset& data, const MeanShiftConfig& config);
 
 }  // namespace vhadoop::ml

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "mapreduce/local_runner.hpp"
+#include "mapreduce/stock_reducers.hpp"
 #include "sim/rng.hpp"
 
 namespace vhadoop::ml {
@@ -80,16 +81,6 @@ class TrainMapper : public mapreduce::Mapper {
   std::string key_buf_;
 };
 
-class SumReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    std::int64_t sum = 0;
-    for (auto v : values) sum += mapreduce::decode_i64(v);
-    ctx.emit(key, mapreduce::encode_i64(sum));
-  }
-};
-
 class ClassifyMapper : public mapreduce::Mapper {
  public:
   explicit ClassifyMapper(std::shared_ptr<const NaiveBayesModel> model)
@@ -102,14 +93,6 @@ class ClassifyMapper : public mapreduce::Mapper {
 
  private:
   std::shared_ptr<const NaiveBayesModel> model_;
-};
-
-class IdentityReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    for (auto v : values) ctx.emit(key, v);
-  }
 };
 
 }  // namespace
@@ -141,7 +124,7 @@ NaiveBayesRun train_naive_bayes(const std::vector<LabeledDoc>& docs,
   spec.config.cost.map_cpu_per_byte = 4e-8;
   spec.config.cost.map_cpu_per_record = 2e-6;
   spec.mapper = [] { return std::make_unique<TrainMapper>(); };
-  spec.reducer = [] { return std::make_unique<SumReducer>(); };
+  spec.reducer = [] { return std::make_unique<mapreduce::LongSumReducer>(); };
 
   mapreduce::LocalJobRunner runner(config.threads);
   const auto records = to_records(docs);
@@ -194,7 +177,7 @@ std::pair<std::vector<std::string>, mapreduce::JobResult> classify_naive_bayes(
   spec.config.num_reduces = 1;
   spec.config.cost.map_cpu_per_byte = 6e-8;
   spec.mapper = [shared] { return std::make_unique<ClassifyMapper>(shared); };
-  spec.reducer = [] { return std::make_unique<IdentityReducer>(); };
+  spec.reducer = [] { return std::make_unique<mapreduce::IdentityReducer>(); };
 
   mapreduce::LocalJobRunner runner(config.threads);
   auto result = runner.run(spec, to_records(docs), config.num_splits);

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "mapreduce/local_runner.hpp"
+#include "mapreduce/stock_reducers.hpp"
 #include "sim/rng.hpp"
 
 namespace vhadoop::ml {
@@ -129,14 +130,6 @@ class RecommendMapper : public mapreduce::Mapper {
   std::vector<double> scratch_;
 };
 
-class PassThroughReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    for (auto v : values) ctx.emit(key, v);
-  }
-};
-
 }  // namespace
 
 RecommenderRun recommend_items(const std::vector<Rating>& ratings,
@@ -176,7 +169,7 @@ RecommenderRun recommend_items(const std::vector<Rating>& ratings,
   rec_spec.config.cost.map_cpu_per_byte = 3e-8;
   const int top_n = config.top_n;
   rec_spec.mapper = [co, top_n] { return std::make_unique<RecommendMapper>(co, top_n); };
-  rec_spec.reducer = [] { return std::make_unique<PassThroughReducer>(); };
+  rec_spec.reducer = [] { return std::make_unique<mapreduce::IdentityReducer>(); };
   run.jobs.push_back(runner.run(rec_spec, records, config.num_splits));
 
   for (const mapreduce::KV& kv : run.jobs[1].output) {

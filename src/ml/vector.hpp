@@ -30,26 +30,6 @@ inline double euclidean(std::span<const double> a, std::span<const double> b) {
   return std::sqrt(squared_euclidean(a, b));
 }
 
-inline double manhattan(std::span<const double> a, std::span<const double> b) {
-  check_same_dim(a, b);
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += std::abs(a[i] - b[i]);
-  return s;
-}
-
-inline double cosine_distance(std::span<const double> a, std::span<const double> b) {
-  check_same_dim(a, b);
-  double dot = 0.0, na = 0.0, nb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    dot += a[i] * b[i];
-    na += a[i] * a[i];
-    nb += b[i] * b[i];
-  }
-  // vlint: allow(no-exact-float-compare) audited PR 8: zero-norm guard before division
-  if (na == 0.0 || nb == 0.0) return 1.0;
-  return 1.0 - dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
 inline void add_in_place(Vec& acc, std::span<const double> x) {
   if (acc.empty()) acc.assign(x.begin(), x.end());
   else {
@@ -60,12 +40,6 @@ inline void add_in_place(Vec& acc, std::span<const double> x) {
 
 inline void scale_in_place(Vec& v, double s) {
   for (double& x : v) x *= s;
-}
-
-inline Vec scaled(std::span<const double> v, double s) {
-  Vec out(v.begin(), v.end());
-  scale_in_place(out, s);
-  return out;
 }
 
 /// Mean of per-cluster accumulated sum and count.

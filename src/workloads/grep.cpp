@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "mapreduce/local_runner.hpp"
+#include "mapreduce/stock_reducers.hpp"
 
 namespace vhadoop::workloads {
 
@@ -35,18 +36,8 @@ class GrepMapper : public mapreduce::Mapper {
   std::string pattern_;
 };
 
-class SumReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    std::int64_t sum = 0;
-    for (auto v : values) sum += mapreduce::decode_i64(v);
-    ctx.emit(std::string(key), mapreduce::encode_i64(sum));
-  }
-};
-
-/// Sort job: invert (word, n) -> (n as sortable key, word); single reducer
-/// emits in descending count order.
+/// Sort job: invert (word, n) -> (n as sortable key, word); a single
+/// identity reducer emits in descending count order.
 class InvertMapper : public mapreduce::Mapper {
  public:
   void map(std::string_view key, std::string_view value, mapreduce::Context& ctx) override {
@@ -56,14 +47,6 @@ class InvertMapper : public mapreduce::Mapper {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%019lld", static_cast<long long>(1000000000000000000LL - n));
     ctx.emit(buf, std::string(key));
-  }
-};
-
-class EmitReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    for (auto v : values) ctx.emit(std::string(key), std::string(v));
   }
 };
 
@@ -77,8 +60,8 @@ mapreduce::JobSpec grep_search_job(const std::string& pattern, int num_reduces) 
   spec.config.cost.map_cpu_per_byte = 2.5e-8;  // substring scan
   spec.config.cost.map_cpu_per_record = 3e-7;
   spec.mapper = [pattern] { return std::make_unique<GrepMapper>(pattern); };
-  spec.reducer = [] { return std::make_unique<SumReducer>(); };
-  spec.combiner = [] { return std::make_unique<SumReducer>(); };
+  spec.reducer = [] { return std::make_unique<mapreduce::LongSumReducer>(); };
+  spec.combiner = [] { return std::make_unique<mapreduce::LongSumReducer>(); };
   return spec;
 }
 
@@ -92,7 +75,7 @@ GrepResult grep(const std::string& pattern, std::span<const mapreduce::KV> input
   sort_spec.config.name = "grep-sort";
   sort_spec.config.num_reduces = 1;
   sort_spec.mapper = [] { return std::make_unique<InvertMapper>(); };
-  sort_spec.reducer = [] { return std::make_unique<EmitReducer>(); };
+  sort_spec.reducer = [] { return std::make_unique<mapreduce::IdentityReducer>(); };
   result.jobs.push_back(runner.run(sort_spec, result.jobs[0].output, 1));
 
   // Decode the sorted output: value = word, key encodes inverted count.

@@ -2,6 +2,8 @@
 
 #include <memory>
 
+#include "mapreduce/stock_reducers.hpp"
+
 namespace vhadoop::workloads {
 
 namespace {
@@ -19,14 +21,6 @@ class MrBenchMapper : public mapreduce::Mapper {
   }
 };
 
-class IdentityReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    for (auto v : values) ctx.emit(std::string(key), std::string(v));
-  }
-};
-
 }  // namespace
 
 mapreduce::JobSpec MrBench::job() const {
@@ -34,7 +28,7 @@ mapreduce::JobSpec MrBench::job() const {
   spec.config.name = "mrbench";
   spec.config.num_reduces = num_reduces;
   spec.mapper = [] { return std::make_unique<MrBenchMapper>(); };
-  spec.reducer = [] { return std::make_unique<IdentityReducer>(); };
+  spec.reducer = [] { return std::make_unique<mapreduce::IdentityReducer>(); };
   return spec;
 }
 

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "mapreduce/local_runner.hpp"
+#include "mapreduce/stock_reducers.hpp"
 #include "sim/rng.hpp"
 
 namespace vhadoop::workloads {
@@ -31,16 +32,6 @@ class PiMapper : public mapreduce::Mapper {
   std::int64_t samples_;
 };
 
-class SumReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    std::int64_t sum = 0;
-    for (auto v : values) sum += mapreduce::decode_i64(v);
-    ctx.emit(std::string(key), mapreduce::encode_i64(sum));
-  }
-};
-
 }  // namespace
 
 PiEstimator::Result PiEstimator::run(unsigned threads) const {
@@ -51,7 +42,7 @@ PiEstimator::Result PiEstimator::run(unsigned threads) const {
   spec.config.cost.map_cpu_per_record = static_cast<double>(samples_per_map) / 25e6;
   const std::int64_t samples = samples_per_map;
   spec.mapper = [samples] { return std::make_unique<PiMapper>(samples); };
-  spec.reducer = [] { return std::make_unique<SumReducer>(); };
+  spec.reducer = [] { return std::make_unique<mapreduce::LongSumReducer>(); };
 
   std::vector<mapreduce::KV> input;
   for (int m = 0; m < num_maps; ++m) input.push_back({"task-" + std::to_string(m), ""});

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <memory>
 
+#include "mapreduce/stock_reducers.hpp"
+
 namespace vhadoop::workloads {
 
 int TeraSort::num_input_blocks() const {
@@ -91,14 +93,6 @@ class IdentityMapper : public mapreduce::Mapper {
   }
 };
 
-class IdentityReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override {
-    for (auto v : values) ctx.emit(std::string(key), std::string(v));
-  }
-};
-
 }  // namespace
 
 mapreduce::JobSpec TeraSort::sort_job(int num_reduces,
@@ -122,7 +116,7 @@ mapreduce::JobSpec TeraSort::sort_job(int num_reduces,
   spec.config.cost.map_cpu_per_byte = 6e-8;
   spec.config.cost.reduce_cpu_per_byte = 8e-8;
   spec.mapper = [] { return std::make_unique<IdentityMapper>(); };
-  spec.reducer = [] { return std::make_unique<IdentityReducer>(); };
+  spec.reducer = [] { return std::make_unique<mapreduce::IdentityReducer>(); };
   spec.partitioner = [splits](std::string_view key, int) {
     const auto it = std::upper_bound(splits->begin(), splits->end(), key,
                                      [](std::string_view k, const std::string& s) { return k < s; });

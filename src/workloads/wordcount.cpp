@@ -1,5 +1,7 @@
 #include "workloads/wordcount.hpp"
 
+#include "mapreduce/stock_reducers.hpp"
+
 namespace vhadoop::workloads {
 
 void WordcountMapper::map(std::string_view, std::string_view value, mapreduce::Context& ctx) {
@@ -11,13 +13,6 @@ void WordcountMapper::map(std::string_view, std::string_view value, mapreduce::C
     if (j > i) ctx.emit(std::string(value.substr(i, j - i)), mapreduce::encode_i64(1));
     i = j;
   }
-}
-
-void LongSumReducer::reduce(std::string_view key, const std::vector<std::string_view>& values,
-                            mapreduce::Context& ctx) {
-  std::int64_t sum = 0;
-  for (auto v : values) sum += mapreduce::decode_i64(v);
-  ctx.emit(std::string(key), mapreduce::encode_i64(sum));
 }
 
 mapreduce::JobSpec wordcount_job(int num_reduces, bool use_combiner) {
@@ -35,8 +30,8 @@ mapreduce::JobSpec wordcount_job(int num_reduces, bool use_combiner) {
   spec.config.cost.reduce_cpu_per_record = 4e-7;
   spec.config.cost.reduce_cpu_per_byte = 1e-8;
   spec.mapper = [] { return std::make_unique<WordcountMapper>(); };
-  spec.reducer = [] { return std::make_unique<LongSumReducer>(); };
-  spec.combiner = [] { return std::make_unique<LongSumReducer>(); };
+  spec.reducer = [] { return std::make_unique<mapreduce::LongSumReducer>(); };
+  spec.combiner = [] { return std::make_unique<mapreduce::LongSumReducer>(); };
   return spec;
 }
 

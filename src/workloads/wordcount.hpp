@@ -7,16 +7,11 @@
 namespace vhadoop::workloads {
 
 /// The canonical Wordcount job (paper Table I): each mapper tokenizes a
-/// line and emits (word, 1); a combiner/reducer sums counts per word.
+/// line and emits (word, 1); mapreduce::LongSumReducer, as combiner and
+/// reducer, sums the counts per word.
 class WordcountMapper : public mapreduce::Mapper {
  public:
   void map(std::string_view key, std::string_view value, mapreduce::Context& ctx) override;
-};
-
-class LongSumReducer : public mapreduce::Reducer {
- public:
-  void reduce(std::string_view key, const std::vector<std::string_view>& values,
-              mapreduce::Context& ctx) override;
 };
 
 /// Fully configured Wordcount JobSpec with cost coefficients calibrated for

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <set>
 #include <span>
 #include <vector>
@@ -29,6 +30,14 @@ Dataset tight_blobs() {
     }
   }
   return data;
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// A job runner for drivers that must reject their parameters first.
+mapreduce::JobResult no_job(const mapreduce::JobSpec& spec, std::span<const mapreduce::KV>, int) {
+  ADD_FAILURE() << "job " << spec.config.name << " ran";
+  return {};
 }
 
 /// Fraction of pairs (same-label vs same-cluster) that agree — Rand index.
@@ -67,6 +76,26 @@ TEST(Canopy, KernelCoversEveryPoint) {
 TEST(Canopy, T1SmallerThanT2Throws) {
   auto data = tight_blobs();
   EXPECT_THROW(canopy_centers(data.points, 1.0, 2.0), std::invalid_argument);
+  // A NaN or negative threshold is rejected too, and before the job runs.
+  const struct {
+    double t1, t2;
+  } bad[] = {{1.0, 2.0}, {3.0, kNaN}, {kNaN, 1.5}, {kNaN, kNaN}, {3.0, -1.0}, {-1.0, -2.0}};
+  for (const auto [t1, t2] : bad) {
+    EXPECT_THROW(canopy_centers(data.points, t1, t2), std::invalid_argument) << t1 << " " << t2;
+    EXPECT_THROW(canopy_cluster(data, {.t1 = t1, .t2 = t2, .base = {.run_job = no_job}}),
+                 std::invalid_argument)
+        << t1 << " " << t2;
+  }
+}
+
+TEST(Canopy, RejectsPointsOfDifferentDimensions) {
+  // In one split the mapper sees both dimensions; in two, the reducer does.
+  Dataset data;
+  data.points = {{0.0, 0.0, 0.0}, {1.0}, {2.0}};
+  EXPECT_THROW(canopy_cluster(data, {.base = {.num_splits = 1}}), std::invalid_argument);
+  EXPECT_THROW(canopy_centers(data.points, 3.0, 1.5), std::invalid_argument);
+  data.points = {{0.0, 0.0}, {1.0, 1.0}, {2.0}, {3.0}};
+  EXPECT_THROW(canopy_cluster(data, {.base = {.num_splits = 2}}), std::invalid_argument);
 }
 
 TEST(Canopy, MapReduceFindsThreeBlobs) {
@@ -170,7 +199,14 @@ TEST(FuzzyKMeans, PointOnCenterGetsFullMembership) {
 
 TEST(FuzzyKMeans, InvalidFuzzinessThrows) {
   std::vector<Vec> centers{{0.0, 0.0}};
-  EXPECT_THROW(memberships(Vec{1.0, 1.0}, centers, 1.0), std::invalid_argument);
+  auto data = tight_blobs();
+  for (const double m : {1.0, 0.5, -2.0, kNaN}) {
+    EXPECT_THROW(memberships(Vec{1.0, 1.0}, centers, m), std::invalid_argument) << "m=" << m;
+    // The driver rejects m before its first job runs.
+    EXPECT_THROW(fuzzy_kmeans_cluster(data, {.k = 3, .m = m, .base = {.run_job = no_job}}),
+                 std::invalid_argument)
+        << "m=" << m;
+  }
 }
 
 TEST(FuzzyKMeans, RecoversBlobsSoftly) {
@@ -230,6 +266,18 @@ TEST(MeanShift, NoPriorKRequired) {
   auto run = meanshift_cluster(
       data, {.t1 = 3.0, .t2 = 1.2, .base = {.num_splits = 3, .max_iterations = 25}});
   EXPECT_EQ(run.centers.size(), 5u);
+}
+
+TEST(MeanShift, NaNOrNegativeThresholdThrows) {
+  auto data = tight_blobs();
+  const struct {
+    double t1, t2;
+  } bad[] = {{kNaN, 1.0}, {3.0, kNaN}, {-1.0, 1.0}, {3.0, -1.0}};
+  for (const auto [t1, t2] : bad) {
+    EXPECT_THROW(meanshift_cluster(data, {.t1 = t1, .t2 = t2, .base = {.run_job = no_job}}),
+                 std::invalid_argument)
+        << t1 << " " << t2;
+  }
 }
 
 TEST(MeanShift, RejectsPointsOfDifferentDimensions) {
